@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check race check bench bench-smoke fuzz-smoke profile incremental-smoke snapshot-smoke serve-smoke pipeline-smoke
+.PHONY: build test vet fmt-check race check bench bench-smoke fuzz-smoke profile incremental-smoke snapshot-smoke serve-smoke pipeline-smoke loc
 
 build:
 	$(GO) build ./...
@@ -54,7 +54,9 @@ serve-smoke:
 
 # pipeline-smoke is the pipelined-ingestion gate: byte-identity between
 # the pipelined parallel path and sequential ingestion across worker
-# counts 1..8 and both decoders, plus flush-unit splitting, FailFast
+# counts 1..8 and both token sources (the fast tokenizer and
+# encoding/xml, which feed the same stager and ship the same one kind of
+# stage unit to the committer), plus flush-unit splitting, FailFast
 # prefix semantics, commit-fault atomicity and mid-commit cancellation —
 # all under the race detector so the worker/committer handoff is checked
 # at real parallelism.
@@ -125,3 +127,13 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzStreamEquivalence -fuzztime $(FUZZTIME) ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/sample
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/regex
+
+# loc prints the non-test Go line delta of the working tree against BASE:
+# lines added and removed in *.go files other than *_test.go, and the
+# net. Untracked files count only once staged (git add, or git add -N).
+# Informational only; it is not part of check.
+BASE ?= HEAD
+
+loc:
+	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' | \
+		awk '{ add += $$1; del += $$2 } END { printf "non-test Go lines since %s: +%d -%d, net %d\n", base, add, del, add - del }' base='$(BASE)'

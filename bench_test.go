@@ -10,6 +10,7 @@ package dtdinfer
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -225,7 +226,7 @@ func BenchmarkIngestParallel(b *testing.B) {
 			var last *IngestReport
 			for i := 0; i < b.N; i++ {
 				x := NewExtraction()
-				report, err := x.AddDocumentsParallel(docs(), workers, nil, dtd.FailFast)
+				report, err := x.AddDocsParallelContext(context.Background(), dtd.LabelDocs(docs()), workers, nil, dtd.FailFast)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -247,7 +248,7 @@ func BenchmarkIngestDecoder(b *testing.B) {
 			opts := &IngestOptions{Decoder: decoder}
 			for i := 0; i < b.N; i++ {
 				x := NewExtraction()
-				if _, err := x.AddDocuments(docs(), opts, dtd.FailFast); err != nil {
+				if _, err := x.AddDocsParallelContext(context.Background(), dtd.LabelDocs(docs()), 1, opts, dtd.FailFast); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -352,7 +353,7 @@ func BenchmarkIncrementalInfer(b *testing.B) {
 	docs := corpus.Protein(1, nDocs)
 	build := func(b *testing.B) *Extraction {
 		x := NewExtraction()
-		if _, err := x.AddDocuments(corpus.Documents(docs), nil, dtd.FailFast); err != nil {
+		if _, err := x.AddDocsParallelContext(context.Background(), dtd.LabelDocs(corpus.Documents(docs)), 1, nil, dtd.FailFast); err != nil {
 			b.Fatal(err)
 		}
 		return x
@@ -414,7 +415,7 @@ func BenchmarkIncrementalInfer(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			batch := corpus.Protein(int64(1000+i), nDocs/10)
-			if _, err := x.AddDocuments(corpus.Documents(batch), nil, dtd.FailFast); err != nil {
+			if _, err := x.AddDocsParallelContext(context.Background(), dtd.LabelDocs(corpus.Documents(batch)), 1, nil, dtd.FailFast); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
@@ -516,7 +517,7 @@ func BenchmarkAblationRepairPolicy(b *testing.B) {
 func BenchmarkSnapshotSave(b *testing.B) {
 	docs, docBytes := corpusDocs(400)
 	x := NewExtraction()
-	if _, err := x.AddDocuments(docs(), nil, dtd.FailFast); err != nil {
+	if _, err := x.AddDocsParallelContext(context.Background(), dtd.LabelDocs(docs()), 1, nil, dtd.FailFast); err != nil {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -538,7 +539,7 @@ func BenchmarkSnapshotSave(b *testing.B) {
 func BenchmarkSnapshotLoad(b *testing.B) {
 	docs, docBytes := corpusDocs(400)
 	x := NewExtraction()
-	if _, err := x.AddDocuments(docs(), nil, dtd.FailFast); err != nil {
+	if _, err := x.AddDocsParallelContext(context.Background(), dtd.LabelDocs(docs()), 1, nil, dtd.FailFast); err != nil {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -563,7 +564,7 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 		b.ReportMetric(float64(docBytes), "corpus-bytes")
 		for i := 0; i < b.N; i++ {
 			y := NewExtraction()
-			if _, err := y.AddDocuments(docs(), nil, dtd.FailFast); err != nil {
+			if _, err := y.AddDocsParallelContext(context.Background(), dtd.LabelDocs(docs()), 1, nil, dtd.FailFast); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -208,17 +208,64 @@ func openDocs() []dtd.Doc {
 	return openFileDocs()
 }
 
-// openFileDocs opens exactly the named files — no stdin fallback.
+// openFileDocs labels exactly the named files — no stdin fallback. Each
+// file is stat'ed now (a missing file fails the run before any work) but
+// opened only when decoding first reads it, and closed again at EOF, so
+// a corpus of any size holds open only the files being decoded.
 func openFileDocs() []dtd.Doc {
 	docs := make([]dtd.Doc, 0, flag.NArg())
 	for _, name := range flag.Args() {
-		f, err := os.Open(name)
+		fi, err := os.Stat(name)
 		if err != nil {
 			fatal(err)
 		}
-		docs = append(docs, dtd.Doc{Label: name, R: f})
+		size := int64(-1)
+		if fi.Mode().IsRegular() {
+			size = fi.Size()
+		}
+		docs = append(docs, dtd.Doc{Label: name, R: &lazyFile{name: name, size: size}})
 	}
 	return docs
+}
+
+// lazyFile is a file opened on its first Read and closed when a Read
+// returns EOF or an error. Len reports the os.Stat size (-1 when the
+// file is not regular): the byte-size hint shard bounds balance by.
+type lazyFile struct {
+	name string
+	size int64
+	f    *os.File
+	err  error // sticky: EOF or the error that ended the file
+}
+
+func (l *lazyFile) Read(p []byte) (int, error) {
+	if l.err != nil {
+		return 0, l.err
+	}
+	if l.f == nil {
+		if l.f, l.err = os.Open(l.name); l.err != nil {
+			return 0, l.err
+		}
+	}
+	n, err := l.f.Read(p)
+	if err != nil {
+		l.err = err
+		l.Close()
+	}
+	return n, err
+}
+
+func (l *lazyFile) Len() int { return int(l.size) }
+
+// Close closes the file if it is open; closeDocs calls it for files a
+// failed document or a FailFast abort left open.
+func (l *lazyFile) Close() error {
+	if l.f == nil {
+		return nil
+	}
+	err := l.f.Close()
+	l.f = nil
+	return err
 }
 
 func closeDocs(docs []dtd.Doc) {

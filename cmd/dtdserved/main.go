@@ -99,6 +99,11 @@ func main() {
 		logger.Fatal(err)
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
+	// The drain handler is installed before readiness is announced, so a
+	// SIGTERM sent the instant the listening line appears is drained like
+	// any other.
+	sigc := make(chan os.Signal, 2)
+	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	// The listening line is the readiness signal scripts and tests key
 	// on; with port 0 it is also where the chosen port appears.
 	fmt.Printf("dtdserved: listening on %s\n", ln.Addr())
@@ -107,8 +112,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case sig := <-sigc:
 		logger.Printf("received %v, draining (deadline %v)", sig, *drainTimeout)

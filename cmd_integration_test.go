@@ -6,6 +6,7 @@ package dtdinfer
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -204,6 +205,44 @@ func TestCLIDtdinferSkipMalformedAndStats(t *testing.T) {
 	clean, code := runTool(t, "dtdinfer", "", good1, good2)
 	if code != 0 || !strings.Contains(out, strings.TrimSpace(clean[:strings.Index(clean, "\n")])) {
 		t.Errorf("skip run diverges from clean run:\n%s\nvs\n%s", out, clean)
+	}
+}
+
+// TestCLIDtdinferManyFilesLowFDLimit runs dtdinfer over more files than
+// its open-file limit allows at once: files must be opened as they are
+// decoded and closed after, and the output must be byte-identical to
+// in-process inference over the same documents.
+func TestCLIDtdinferManyFilesLowFDLimit(t *testing.T) {
+	if _, err := exec.LookPath("sh"); err != nil {
+		t.Skip("no sh to set the file limit with")
+	}
+	bin := filepath.Join(buildTools(t), "dtdinfer")
+	dir := t.TempDir()
+	const n = 200
+	paths := make([]string, n)
+	readers := make([]io.Reader, n)
+	for i := range paths {
+		doc := fmt.Sprintf("<lib><book id=\"b%d\"><title>t%d</title>%s</book>%s</lib>",
+			i, i, strings.Repeat("<author>a</author>", i%3), strings.Repeat("<note/>", i%2))
+		paths[i] = writeFile(t, dir, fmt.Sprintf("doc%03d.xml", i), doc)
+		readers[i] = strings.NewReader(doc)
+	}
+	want, err := InferDTD(readers, IDTD, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []string{"1", "4"} {
+		args := append([]string{"-c", `ulimit -n 64 && exec "$0" "$@"`, bin, "-j", j}, paths...)
+		cmd := exec.Command("sh", args...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("-j %s: %v\nstderr: %s", j, err, stderr.String())
+		}
+		if string(out) != want.String()+"\n" {
+			t.Errorf("-j %s: output differs from in-process inference:\n%s\nwant:\n%s", j, out, want)
+		}
 	}
 }
 

@@ -246,6 +246,26 @@ func TestDaemonSIGTERMDrainsCleanly(t *testing.T) {
 	}
 }
 
+// TestDaemonSIGTERMAtReadiness: the drain handler is installed before
+// the listening line is printed, so a SIGTERM sent the instant readiness
+// is announced is drained like any other. Repeated boots widen the
+// window a late handler would leave open.
+func TestDaemonSIGTERMAtReadiness(t *testing.T) {
+	const boots = 20
+	for i := 0; i < boots; i++ {
+		d := startDaemon(t, "-data", t.TempDir(), "-persist-interval", "-1s")
+		if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if code := d.exitCode(t, 30*time.Second); code != 0 {
+			t.Fatalf("boot %d: exit code %d after SIGTERM at readiness, want 0\nstderr: %s", i, code, d.stderr.String())
+		}
+		if !strings.Contains(d.stderr.String(), "drained cleanly") {
+			t.Fatalf("boot %d: exited without a drain\nstderr: %s", i, d.stderr.String())
+		}
+	}
+}
+
 // TestDaemonKill9Recovery: a daemon killed with SIGKILL mid-ingest loses
 // only what was not yet persisted; the restart serves a schema
 // byte-identical to inference over the last persisted summary, and the

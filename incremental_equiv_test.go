@@ -8,6 +8,7 @@ package dtdinfer
 // changed) shows up here as a warm/cold divergence.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ func ingestBatch(t *testing.T, x *Extraction, docs []string, workers int, opts *
 	for i, d := range docs {
 		batch[i] = dtd.Doc{Label: fmt.Sprintf("doc%d", i), R: strings.NewReader(d)}
 	}
-	if _, err := x.AddDocsParallel(batch, workers, opts, FailFast); err != nil {
+	if _, err := x.AddDocsParallelContext(context.Background(), batch, workers, opts, FailFast); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -9,8 +9,9 @@ import (
 )
 
 // Differential test: the contextual extraction loop must behave
-// identically over the fast structure tokenizer and encoding/xml —
-// same acceptance, same per-context state — under no caps and tight
+// identically over the fast structure tokenizer, over the encoding/xml
+// token source, and as the reference encoding/xml loop (extractOneStd)
+// — same acceptance, same per-context state — under no caps and tight
 // caps, at several context widths.
 func TestContextualDecoderEquivalence(t *testing.T) {
 	corpus := []string{
@@ -46,13 +47,26 @@ func TestContextualDecoderEquivalence(t *testing.T) {
 				errF := xf.AddDocumentOptions(strings.NewReader(doc), &fastOpts)
 				xs := NewExtraction(k)
 				errS := xs.AddDocumentOptions(strings.NewReader(doc), &stdOpts)
-				if (errF == nil) != (errS == nil) {
-					t.Fatalf("k=%d caps=%+v: acceptance differs for %q:\nfast: %v\nstd:  %v",
-						k, caps, doc, errF, errS)
+				xr := NewExtraction(k)
+				errR := xr.extractOneStd(strings.NewReader(doc), caps)
+				if (errF == nil) != (errR == nil) || (errS == nil) != (errR == nil) {
+					t.Fatalf("k=%d caps=%+v: acceptance differs for %q:\nfast: %v\nstd:  %v\nref:  %v",
+						k, caps, doc, errF, errS, errR)
 				}
-				if errF == nil && !reflect.DeepEqual(xf, xs) {
-					t.Fatalf("k=%d caps=%+v: extraction differs for %q:\nfast: %+v\nstd:  %+v",
-						k, caps, doc, xf, xs)
+				if errS != nil && errS.Error() != errR.Error() {
+					t.Fatalf("k=%d caps=%+v: std error differs from reference for %q:\nstd: %v\nref: %v",
+						k, caps, doc, errS, errR)
+				}
+				if errF != nil {
+					continue
+				}
+				if !reflect.DeepEqual(xf, xr) {
+					t.Fatalf("k=%d caps=%+v: fast extraction differs for %q:\nfast: %+v\nref:  %+v",
+						k, caps, doc, xf, xr)
+				}
+				if !reflect.DeepEqual(xs, xr) {
+					t.Fatalf("k=%d caps=%+v: std extraction differs for %q:\nstd: %+v\nref: %+v",
+						k, caps, doc, xs, xr)
 				}
 			}
 		}

@@ -1,7 +1,7 @@
 package contextual
 
 import (
-	"encoding/xml"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -10,6 +10,7 @@ import (
 	"dtdinfer/internal/automata"
 	"dtdinfer/internal/dtd"
 	"dtdinfer/internal/regex"
+	"dtdinfer/internal/xmltok"
 )
 
 // ToXSD renders the contextual schema as W3C XML Schema: one named
@@ -193,9 +194,12 @@ func NewValidator(s *Schema) *Validator {
 	return v
 }
 
-// Validate parses one document and returns the violations.
+// Validate parses one document and returns the violations. It reads
+// the encoding/xml token source, so violation offsets are encoding/xml's
+// input offsets, like dtd.Validator's.
 func (v *Validator) Validate(r io.Reader) ([]dtd.Violation, error) {
-	dec := xml.NewDecoder(r)
+	src := xmltok.NewSource(true)
+	src.Reset(r)
 	type frame struct {
 		ctx      Context
 		children []string
@@ -204,19 +208,19 @@ func (v *Validator) Validate(r io.Reader) ([]dtd.Violation, error) {
 	var stack []frame
 	var out []dtd.Violation
 	report := func(element, reason string) {
-		out = append(out, dtd.Violation{Element: element, Offset: dec.InputOffset(), Reason: reason})
+		out = append(out, dtd.Violation{Element: element, Offset: src.InputOffset(), Reason: reason})
 	}
 	for {
-		tok, err := dec.Token()
+		kind, err := src.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return out, fmt.Errorf("contextual: parsing XML: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			name := t.Name.Local
+		switch kind {
+		case xmltok.StartElement:
+			name := string(src.Name())
 			var ctx Context
 			if len(stack) == 0 {
 				if name != v.schema.Root {
@@ -232,12 +236,12 @@ func (v *Validator) Validate(r io.Reader) ([]dtd.Violation, error) {
 				report(name, fmt.Sprintf("no type for context %s", ctx))
 			}
 			stack = append(stack, frame{ctx: ctx})
-		case xml.EndElement:
+		case xmltok.EndElement:
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			v.check(top.ctx, top.children, top.text, report)
-		case xml.CharData:
-			if len(stack) > 0 && strings.TrimSpace(string(t)) != "" {
+		case xmltok.CharData:
+			if len(stack) > 0 && len(bytes.TrimSpace(src.Text())) != 0 {
 				stack[len(stack)-1].text = true
 			}
 		}

@@ -103,7 +103,7 @@ type Options struct {
 	// Parallelism is the number of worker goroutines used for document
 	// ingestion (XML decoding). 0 selects GOMAXPROCS, 1 forces sequential
 	// ingestion. Results are byte-identical at every setting; see
-	// dtd.AddDocsParallel.
+	// dtd.Extraction.AddDocsParallelContext.
 	Parallelism int
 	// Budget caps each element's inference (zero value = uncapped).
 	Budget Budget
@@ -285,14 +285,6 @@ func Inferrer(algo Algorithm, opts *Options) dtd.InferFunc {
 	}
 }
 
-// SampleInferrer adapts an algorithm to the dtd.InferSampleFunc shape —
-// the path every document-level entry point runs on.
-func SampleInferrer(algo Algorithm, opts *Options) dtd.InferSampleFunc {
-	return func(s *sample.Set) (*regex.Expr, error) {
-		return InferSampleExpr(s, algo, opts)
-	}
-}
-
 // ingestAll is the single ingestion pipeline behind every document-level
 // entry point: hardened, fault-isolated, sharded across workers according
 // to opts.Parallelism, and cancellable through the context. The report is
@@ -304,7 +296,7 @@ func ingestAll(ctx context.Context, docs []io.Reader, opts *Options,
 		workers = opts.Parallelism
 	}
 	x := dtd.NewExtraction()
-	report, err := x.AddDocumentsParallelContext(ctx, docs, workers, ingest, policy)
+	report, err := x.AddDocsParallelContext(ctx, dtd.LabelDocs(docs), workers, ingest, policy)
 	if err != nil {
 		return nil, report, fmt.Errorf("core: %w", err)
 	}

@@ -95,7 +95,7 @@ func TestAddDocsContextCancelSequential(t *testing.T) {
 	before := snapshot(x)
 	docs := []Doc{{Label: "endless", R: &endlessXML{}}}
 	err := runCancelled(t, func(ctx context.Context) error {
-		_, err := x.AddDocsContext(ctx, docs, nil, FailFast)
+		_, err := x.AddDocsParallelContext(ctx, docs, 1, nil, FailFast)
 		return err
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -112,7 +112,7 @@ func TestAddDocsContextPreCancelled(t *testing.T) {
 	cancel()
 	x := NewExtraction()
 	good := strings.NewReader("<r><a></a></r>")
-	report, err := x.AddDocsContext(ctx, []Doc{{Label: "good", R: good}}, nil, FailFast)
+	report, err := x.AddDocsParallelContext(ctx, []Doc{{Label: "good", R: good}}, 1, nil, FailFast)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -151,9 +151,10 @@ func TestAddDocsParallelContextCancelMidBatch(t *testing.T) {
 	}
 }
 
-// TestAddDocsContextUncancelled pins the compatibility contract: with a
-// background context the Context variants behave exactly like AddDocs —
-// same report, same corpus.
+// TestAddDocsContextUncancelled pins the one-worker staging contract: a
+// cancellable context that is never cancelled (batch staged, then
+// merged) gives the same report and corpus as a Done-less context
+// (documents committed directly).
 func TestAddDocsContextUncancelled(t *testing.T) {
 	mk := func() []Doc {
 		return []Doc{
@@ -163,11 +164,13 @@ func TestAddDocsContextUncancelled(t *testing.T) {
 		}
 	}
 	xa := NewExtraction()
-	ra, ea := xa.AddDocs(mk(), nil, SkipAndRecord)
+	ra, ea := xa.AddDocsParallelContext(context.Background(), mk(), 1, nil, SkipAndRecord)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	xb := NewExtraction()
-	rb, eb := xb.AddDocsContext(context.Background(), mk(), nil, SkipAndRecord)
+	rb, eb := xb.AddDocsParallelContext(ctx, mk(), 1, nil, SkipAndRecord)
 	if (ea == nil) != (eb == nil) || ra.Accepted != rb.Accepted || ra.Rejected != rb.Rejected {
-		t.Errorf("context variant diverged: %+v/%v vs %+v/%v", ra, ea, rb, eb)
+		t.Errorf("staged batch diverged: %+v/%v vs %+v/%v", ra, ea, rb, eb)
 	}
 	if snapshot(xa) != snapshot(xb) {
 		t.Errorf("corpus diverged: %s vs %s", snapshot(xa), snapshot(xb))

@@ -1,6 +1,7 @@
 package dtd
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -80,7 +81,7 @@ func TestParallelCountedIdenticalToSequential(t *testing.T) {
 		}
 	}
 	seq := NewExtraction()
-	if _, err := seq.AddDocs(docList(docs), nil, FailFast); err != nil {
+	if _, err := seq.AddDocsParallelContext(context.Background(), docList(docs), 1, nil, FailFast); err != nil {
 		t.Fatal(err)
 	}
 	if got := seq.Sequences["r"].Unique(); got != 3 {
@@ -88,7 +89,7 @@ func TestParallelCountedIdenticalToSequential(t *testing.T) {
 	}
 	for _, workers := range []int{2, 3, 8} {
 		par := NewExtraction()
-		if _, err := par.AddDocsParallel(docList(docs), workers, nil, FailFast); err != nil {
+		if _, err := par.AddDocsParallelContext(context.Background(), docList(docs), workers, nil, FailFast); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(seq, par) {

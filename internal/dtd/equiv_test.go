@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// Differential testing of the two decoder paths: the fast structure
-// tokenizer (internal/xmltok) must accept exactly the documents
-// encoding/xml accepts and produce byte-identical extraction state on
-// every accepted one. decoderEquivCorpus collects the structures the
+// Differential testing of the two token sources: the stager on the fast
+// structure tokenizer (internal/xmltok) and on the encoding/xml source
+// must accept exactly the documents the reference encoding/xml
+// extraction (reference_test.go) accepts and produce byte-identical
+// extraction state on every accepted one. decoderEquivCorpus collects the structures the
 // extraction layer cares about plus the XML corners where the two
 // decoders could plausibly diverge.
 var decoderEquivCorpus = []string{
@@ -92,18 +93,21 @@ var decoderEquivCorpus = []string{
 	`<a x="<"/>`,
 }
 
-// ingestWith runs one document through the chosen decoder into a fresh
-// extraction, returning the extraction, the decode stats and the error.
+// ingestWith runs one document through the stager on the decoder opts
+// selects into a fresh extraction, returning the extraction, the decode
+// stats and the error.
 func ingestWith(t *testing.T, doc string, opts *IngestOptions) (*Extraction, docStats, error) {
 	t.Helper()
 	x := NewExtraction()
-	stats, err := newIngester(opts).ingestOne(context.Background(), strings.NewReader(doc), opts, x)
+	stats, err := newStager(opts).ingestOne(context.Background(), strings.NewReader(doc), opts, x)
 	return x, stats, err
 }
 
-// checkDecoderEquivalence asserts the two decoders agree on one document
-// under the given caps: identical acceptance, and on acceptance identical
-// extraction state and identical token/element counts.
+// checkDecoderEquivalence asserts that the stager on the fast source,
+// the stager on the std source and the reference encoding/xml extraction
+// (refIngest) agree on one document under the given caps: identical
+// acceptance, and on acceptance identical extraction state and identical
+// byte/token/element counts.
 func checkDecoderEquivalence(t *testing.T, doc string, caps IngestOptions) {
 	t.Helper()
 	fastOpts, stdOpts := caps, caps
@@ -111,17 +115,26 @@ func checkDecoderEquivalence(t *testing.T, doc string, caps IngestOptions) {
 	stdOpts.Decoder = DecoderStd
 	xf, sf, errF := ingestWith(t, doc, &fastOpts)
 	xs, ss, errS := ingestWith(t, doc, &stdOpts)
-	if (errF == nil) != (errS == nil) {
-		t.Fatalf("acceptance differs for %q:\nfast: %v\nstd:  %v", doc, errF, errS)
+	xr := NewExtraction()
+	sr, errR := refIngest(context.Background(), xr, strings.NewReader(doc), &caps)
+	if (errF == nil) != (errR == nil) || (errS == nil) != (errR == nil) {
+		t.Fatalf("acceptance differs for %q:\nfast: %v\nstd:  %v\nref:  %v", doc, errF, errS, errR)
+	}
+	if errS != nil && errS.Error() != errR.Error() {
+		t.Fatalf("std source error differs from reference for %q:\nstd: %v\nref: %v", doc, errS, errR)
 	}
 	if errF != nil {
 		return
 	}
-	if got, want := snapshot(xf), snapshot(xs); got != want {
-		t.Fatalf("extraction state differs for %q:\nfast:\n%s\nstd:\n%s", doc, got, want)
+	want := snapshot(xr)
+	if got := snapshot(xf); got != want {
+		t.Fatalf("fast extraction state differs for %q:\nfast:\n%s\nref:\n%s", doc, got, want)
 	}
-	if sf.tokens != ss.tokens || sf.elements != ss.elements || sf.bytes != ss.bytes {
-		t.Fatalf("decode stats differ for %q: fast=%+v std=%+v", doc, sf, ss)
+	if got := snapshot(xs); got != want {
+		t.Fatalf("std extraction state differs for %q:\nstd:\n%s\nref:\n%s", doc, got, want)
+	}
+	if sf != sr || ss != sr {
+		t.Fatalf("decode stats differ for %q: fast=%+v std=%+v ref=%+v", doc, sf, ss, sr)
 	}
 }
 
@@ -134,9 +147,9 @@ func TestFastDecoderEquivalence(t *testing.T) {
 }
 
 // TestFastDecoderBatchEquivalence ingests the whole corpus as one batch
-// per decoder, exercising the fast path's cross-document staging reuse
+// per decoder, exercising the stager's cross-document staging reuse
 // (epoch resets, leftover state from rejected documents) that single-
-// document runs cannot reach.
+// document runs cannot reach, and holds both to the reference loop.
 func TestFastDecoderBatchEquivalence(t *testing.T) {
 	batch := func(d DecoderKind) (*Extraction, *IngestReport) {
 		x := NewExtraction()
@@ -144,7 +157,7 @@ func TestFastDecoderBatchEquivalence(t *testing.T) {
 		for i, s := range decoderEquivCorpus {
 			docs[i] = Doc{Label: "doc", R: strings.NewReader(s)}
 		}
-		report, err := x.AddDocs(docs, &IngestOptions{Decoder: d}, SkipAndRecord)
+		report, err := x.AddDocsParallelContext(context.Background(), docs, 1, &IngestOptions{Decoder: d}, SkipAndRecord)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,6 +175,14 @@ func TestFastDecoderBatchEquivalence(t *testing.T) {
 	}
 	if got, want := snapshot(xf), snapshot(xs); got != want {
 		t.Fatalf("batch extraction state differs:\nfast:\n%s\nstd:\n%s", got, want)
+	}
+	// The reference loop over the same batch, skipping rejections.
+	xr := NewExtraction()
+	for _, s := range decoderEquivCorpus {
+		refIngest(context.Background(), xr, strings.NewReader(s), nil)
+	}
+	if got, want := snapshot(xf), snapshot(xr); got != want {
+		t.Fatalf("batch extraction state differs from reference:\nstager:\n%s\nref:\n%s", got, want)
 	}
 }
 

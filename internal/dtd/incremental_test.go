@@ -227,7 +227,7 @@ func TestDirtyTrackingAcrossIngestionPaths(t *testing.T) {
 				for i, d := range doc {
 					docs[i] = Doc{Label: fmt.Sprintf("doc%d", i), R: strings.NewReader(d)}
 				}
-				if _, err := x.AddDocsParallel(docs, workers, opts, FailFast); err != nil {
+				if _, err := x.AddDocsParallelContext(context.Background(), docs, workers, opts, FailFast); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -13,10 +13,11 @@ import (
 // extraction layer must survive truncated, malformed and adversarial
 // documents without corrupting accumulated state or exhausting memory.
 // This file provides the resource caps (IngestOptions), the per-document
-// fault-isolation policies (ErrorPolicy), the batch API (AddDocuments)
-// with its metrics report (IngestReport), and the Merge primitive that
-// makes every AddDocument failure-atomic: documents are staged into a
-// fresh Extraction and committed only on success.
+// fault-isolation policies (ErrorPolicy), the per-document batch loop
+// behind AddDocsParallelContext with its metrics report (IngestReport),
+// and the Merge primitive that folds whole extractions (snapshots,
+// batch-atomic staging) into one another. Every document is staged by
+// the stager (stager.go) and committed only on success.
 
 // IngestOptions caps the resources one document may consume during
 // extraction, defending against XML bombs (deeply nested or enormous
@@ -36,7 +37,7 @@ type IngestOptions struct {
 	MaxBytes int64
 	// Decoder selects the XML decoder driving extraction. The zero value
 	// (DecoderFast) is the structure-only tokenizer; DecoderStd selects
-	// the encoding/xml path kept as fallback and differential oracle.
+	// encoding/xml, kept as a selectable fallback token source.
 	Decoder DecoderKind
 }
 
@@ -47,8 +48,8 @@ const (
 	// DecoderFast is the purpose-built zero-copy structure tokenizer
 	// (internal/xmltok) — the default.
 	DecoderFast DecoderKind = iota
-	// DecoderStd is the encoding/xml decoder, retained as a selectable
-	// fallback and as the differential-testing oracle.
+	// DecoderStd is the encoding/xml decoder, adapted to the tokenizer's
+	// token shape and retained as a selectable fallback.
 	DecoderStd
 )
 
@@ -249,63 +250,35 @@ type Doc struct {
 // on any error (malformed XML, unbalanced tags, violated cap) the
 // extraction is left exactly as it was.
 func (x *Extraction) AddDocumentOptions(r io.Reader, opts *IngestOptions) error {
-	_, err := newIngester(opts).ingestOne(context.Background(), r, opts, x)
+	_, err := newStager(opts).ingestOne(context.Background(), r, opts, x)
 	return err
 }
 
-// AddDocuments ingests a batch of documents with per-document fault
-// isolation under the chosen policy, labeling documents by position.
-// The report is never nil. Under SkipAndRecord the error is always nil
-// and failures are only recorded in the report; under FailFast the first
-// failure is returned (and recorded) and later documents are not read.
-func (x *Extraction) AddDocuments(docs []io.Reader, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
+// LabelDocs labels readers by position ("document 0", "document 1", ...)
+// for the batch verb, for callers that have no file names.
+func LabelDocs(docs []io.Reader) []Doc {
 	labeled := make([]Doc, len(docs))
 	for i, r := range docs {
 		labeled[i] = Doc{Label: fmt.Sprintf("document %d", i), R: r}
 	}
-	return x.AddDocs(labeled, opts, policy)
+	return labeled
 }
 
-// AddDocs is AddDocuments with caller-supplied labels (file names).
-func (x *Extraction) AddDocs(docs []Doc, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
-	report := &IngestReport{}
-	derr, _ := ingestDocs(context.Background(), x, docs, 0, opts, policy, report)
-	report.TextOverflows = len(x.TextOverflow)
-	if derr != nil {
-		return report, derr
-	}
-	return report, nil
-}
-
-// AddDocumentsContext is AddDocuments under a context, labeling documents
-// by position. See AddDocsContext for the cancellation contract.
-func (x *Extraction) AddDocumentsContext(ctx context.Context, docs []io.Reader, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
-	labeled := make([]Doc, len(docs))
-	for i, r := range docs {
-		labeled[i] = Doc{Label: fmt.Sprintf("document %d", i), R: r}
-	}
-	return x.AddDocsContext(ctx, labeled, opts, policy)
-}
-
-// AddDocsContext is AddDocs under a context. Cancellation is batch-atomic:
-// the whole batch is staged and committed only when the context is still
-// live at the end, so a cancelled call returns ctx.Err() (alongside the
-// partial report) and leaves x exactly as it was — no torn prefix to
-// reason about. Per-document faults keep their AddDocs semantics: under
-// FailFast the documents preceding the failure commit and the failing
-// *DocumentError is returned; under SkipAndRecord failures land in the
-// report only.
-//
-// The batch-level staging is paid only when the context can actually be
-// cancelled; with a Done-less context (context.Background()) documents
-// commit directly into x and the call costs exactly what AddDocs does.
-func (x *Extraction) AddDocsContext(ctx context.Context, docs []Doc, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
+// addDocsSequential is the one-worker batch: documents commit one at a
+// time through a single stager. Cancellation is batch-atomic: the whole
+// batch is staged and committed only when the context is still live at
+// the end, so a cancelled call returns ctx.Err() (alongside the partial
+// report) and leaves x exactly as it was. The batch-level staging is
+// paid only when the context can actually be cancelled; with a
+// Done-less context (context.Background()) documents commit directly
+// into x.
+func (x *Extraction) addDocsSequential(ctx context.Context, docs []Doc, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
 	report := &IngestReport{}
 	target := x
 	if ctx.Done() != nil {
 		target = NewExtraction()
 	}
-	derr, cancelErr := ingestDocs(ctx, target, docs, 0, opts, policy, report)
+	derr, cancelErr := ingestDocs(newStager(opts), ctx, target, docs, 0, opts, policy, report)
 	if cancelErr != nil {
 		return report, cancelErr
 	}
@@ -319,28 +292,23 @@ func (x *Extraction) AddDocsContext(ctx context.Context, docs []Doc, opts *Inges
 	return report, nil
 }
 
-// ingestDocs runs the per-document staging loop into x, labeling errors
-// with baseIndex+i so a shard of a larger batch reports original document
-// positions. The first return is the first failing document under
-// FailFast; the second is the context's error when the batch was
-// abandoned mid-way — a cancelled document is batch abortion, not a
-// per-document fault, so it is never recorded in the report. This is the
-// single ingestion loop shared by the sequential and parallel batch APIs
-// (each parallel worker calls it on a private extraction).
-func ingestDocs(ctx context.Context, x *Extraction, docs []Doc, baseIndex int, opts *IngestOptions, policy ErrorPolicy, report *IngestReport) (*DocumentError, error) {
-	return runIngest(newIngester(opts), ctx, x, docs, baseIndex, opts, policy, report)
-}
-
-// runIngest is ingestDocs with a caller-owned ingester, letting a
-// parallel worker amortize one ingester's decoder and staging buffers
-// across every shard it claims.
-func runIngest(ing ingester, ctx context.Context, x *Extraction, docs []Doc, baseIndex int, opts *IngestOptions, policy ErrorPolicy, report *IngestReport) (*DocumentError, error) {
+// ingestDocs runs the per-document staging loop through st into x,
+// labeling errors with baseIndex+i so a shard of a larger batch reports
+// original document positions. The first return is the first failing
+// document under FailFast; the second is the context's error when the
+// batch was abandoned mid-way — a cancelled document is batch abortion,
+// not a per-document fault, so it is never recorded in the report. This
+// is the single ingestion loop shared by the sequential and pipelined
+// batches: a pipeline worker runs it in shard-staging mode, with one
+// stager amortizing its decoder and staging buffers across every shard
+// it claims.
+func ingestDocs(st *stager, ctx context.Context, x *Extraction, docs []Doc, baseIndex int, opts *IngestOptions, policy ErrorPolicy, report *IngestReport) (*DocumentError, error) {
 	for i, doc := range docs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		report.Documents++
-		stats, err := ing.ingestOne(ctx, doc.R, opts, x)
+		stats, err := st.ingestOne(ctx, doc.R, opts, x)
 		report.Bytes += stats.bytes
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
@@ -366,30 +334,12 @@ func runIngest(ing ingester, ctx context.Context, x *Extraction, docs []Doc, bas
 	return nil, nil
 }
 
-// reset clears the extraction for reuse as a staging area, keeping the
-// allocated maps.
-func (x *Extraction) reset() {
-	clear(x.Sequences)
-	clear(x.HasText)
-	clear(x.TextSamples)
-	clear(x.TextOverflow)
-	clear(x.Attributes)
-	clear(x.Roots)
-	clear(x.dirty)
-	clear(x.attFp)
-	x.cache = nil
-	x.attCache = nil
-	x.Documents = 0
-}
-
 // Merge folds another extraction's observations into x, preserving the
-// per-element text-sample and attribute-value caps. Merging staged
-// per-document extractions is exactly how AddDocument commits, so
-// Merge(a); Merge(b) is equivalent to ingesting a's and b's documents
-// directly. Sequence samples merge at the interned-ID level (see
-// sample.Set.Merge): cost is proportional to o's *unique* sequences, and
-// element-name strings are only touched on the first corpus-wide sight of
-// a symbol.
+// per-element text-sample and attribute-value caps. Merge(a); Merge(b)
+// is equivalent to ingesting a's and b's documents directly. Sequence
+// samples merge at the interned-ID level (see sample.Set.Merge): cost is
+// proportional to o's *unique* sequences, and element-name strings are
+// only touched on the first corpus-wide sight of a symbol.
 func (x *Extraction) Merge(o *Extraction) {
 	for name, seqs := range o.Sequences {
 		s := x.sampleOf(name)

@@ -1,6 +1,7 @@
 package dtd
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -226,7 +227,7 @@ func TestIngestLimits(t *testing.T) {
 
 func TestAddDocumentsSkipAndRecord(t *testing.T) {
 	clean := NewExtraction()
-	if _, err := clean.AddDocuments(readers(goodDoc1, goodDoc2), nil, FailFast); err != nil {
+	if _, err := clean.AddDocsParallelContext(context.Background(), LabelDocs(readers(goodDoc1, goodDoc2)), 1, nil, FailFast); err != nil {
 		t.Fatal(err)
 	}
 	wantDTD, err := clean.InferDTD(testInfer)
@@ -235,7 +236,7 @@ func TestAddDocumentsSkipAndRecord(t *testing.T) {
 	}
 
 	x := NewExtraction()
-	report, err := x.AddDocuments(readers(goodDoc1, badDoc, goodDoc2), nil, SkipAndRecord)
+	report, err := x.AddDocsParallelContext(context.Background(), LabelDocs(readers(goodDoc1, badDoc, goodDoc2)), 1, nil, SkipAndRecord)
 	if err != nil {
 		t.Fatalf("skip-and-record must not return an error, got %v", err)
 	}
@@ -269,7 +270,7 @@ func TestAddDocumentsSkipAndRecord(t *testing.T) {
 
 func TestAddDocumentsFailFast(t *testing.T) {
 	x := NewExtraction()
-	report, err := x.AddDocuments(readers(goodDoc1, badDoc, goodDoc2), nil, FailFast)
+	report, err := x.AddDocsParallelContext(context.Background(), LabelDocs(readers(goodDoc1, badDoc, goodDoc2)), 1, nil, FailFast)
 	if err == nil {
 		t.Fatal("fail-fast must surface the error")
 	}
@@ -292,7 +293,7 @@ func TestAddDocsLabels(t *testing.T) {
 		{Label: "good.xml", R: strings.NewReader(goodDoc1)},
 		{Label: "bad.xml", R: strings.NewReader(badDoc)},
 	}
-	report, _ := x.AddDocs(docs, nil, SkipAndRecord)
+	report, _ := x.AddDocsParallelContext(context.Background(), docs, 1, nil, SkipAndRecord)
 	if len(report.Errors) != 1 || report.Errors[0].Label != "bad.xml" {
 		t.Errorf("errors = %v", report.Errors)
 	}
@@ -303,7 +304,7 @@ func TestAddDocsLabels(t *testing.T) {
 
 func TestIngestReportCounters(t *testing.T) {
 	x := NewExtraction()
-	report, err := x.AddDocuments(readers(goodDoc1), nil, FailFast)
+	report, err := x.AddDocsParallelContext(context.Background(), LabelDocs(readers(goodDoc1)), 1, nil, FailFast)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dtd
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -65,12 +66,12 @@ func TestParallelInternIDsIdenticalAcrossWorkerCounts(t *testing.T) {
 		t.Run(decoder.String(), func(t *testing.T) {
 			opts := &IngestOptions{Decoder: decoder}
 			seq := NewExtraction()
-			if _, err := seq.AddDocs(docList(docs), opts, SkipAndRecord); err != nil {
+			if _, err := seq.AddDocsParallelContext(context.Background(), docList(docs), 1, opts, SkipAndRecord); err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 3, 5, 8, 16} {
 				par := NewExtraction()
-				if _, err := par.AddDocsParallel(docList(docs), workers, opts, SkipAndRecord); err != nil {
+				if _, err := par.AddDocsParallelContext(context.Background(), docList(docs), workers, opts, SkipAndRecord); err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				for name, want := range seq.Sequences {
@@ -111,7 +112,7 @@ func TestTextOverflowFlag(t *testing.T) {
 			opts := &IngestOptions{Decoder: decoder}
 
 			x := NewExtraction()
-			report, err := x.AddDocs(docList(textCorpus(maxTextSamples+30)), opts, SkipAndRecord)
+			report, err := x.AddDocsParallelContext(context.Background(), docList(textCorpus(maxTextSamples+30)), 1, opts, SkipAndRecord)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +135,7 @@ func TestTextOverflowFlag(t *testing.T) {
 
 			// Exactly at the cap: complete, so no flag.
 			atCap := NewExtraction()
-			report, err = atCap.AddDocs(docList(textCorpus(maxTextSamples)), opts, SkipAndRecord)
+			report, err = atCap.AddDocsParallelContext(context.Background(), docList(textCorpus(maxTextSamples)), 1, opts, SkipAndRecord)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,13 +155,13 @@ func TestTextOverflowParallelMatchesSequential(t *testing.T) {
 		t.Run(decoder.String(), func(t *testing.T) {
 			opts := &IngestOptions{Decoder: decoder}
 			seq := NewExtraction()
-			seqReport, err := seq.AddDocs(docList(docs), opts, SkipAndRecord)
+			seqReport, err := seq.AddDocsParallelContext(context.Background(), docList(docs), 1, opts, SkipAndRecord)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 8} {
 				par := NewExtraction()
-				parReport, err := par.AddDocsParallel(docList(docs), workers, opts, SkipAndRecord)
+				parReport, err := par.AddDocsParallelContext(context.Background(), docList(docs), workers, opts, SkipAndRecord)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}

@@ -2,7 +2,6 @@ package dtd
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -11,19 +10,18 @@ import (
 // Parallel sharded ingestion. The corpus is split into contiguous shards;
 // each worker claims shards off a shared queue and stages their documents
 // using the same per-document fault-isolation loop as the sequential
-// path, under the same IngestOptions caps. On the fast decoder a shard is
-// staged entirely in the worker's private symbol space (fastShard):
-// counted ID multisets per element, zero synchronization, no string
-// interning beyond the worker's own table. Completed (or flush-budget
-// sealed partial) stages stream to a committer that folds them into the
-// corpus in shard order *while later shards are still decoding* — see
-// pipeline.go for the streaming engine, its back-pressure bound and the
-// per-stage instrumentation it reports. The commit is the single place
-// worker IDs are translated into the corpus extraction, through
-// per-worker cached remaps (intern.Remap), so each distinct symbol's
-// string is touched once per worker and everything else is slice
-// indexing. The std decoder keeps its per-shard staging Extraction,
-// committed with the ID-level Merge.
+// path, under the same IngestOptions caps. Whichever decoder feeds it,
+// the stager stages a shard entirely in the worker's private symbol
+// space (shardStage): counted ID multisets per element, zero
+// synchronization, no string interning beyond the worker's own table.
+// Completed (or flush-budget sealed partial) stages stream to a
+// committer that folds them into the corpus in shard order *while later
+// shards are still decoding* — see pipeline.go for the streaming engine,
+// its back-pressure bound and the per-stage instrumentation it reports.
+// The commit is the single place worker IDs are translated into the
+// corpus extraction, through per-worker cached remaps (intern.Remap), so
+// each distinct symbol's string is touched once per worker and
+// everything else is slice indexing.
 //
 // Because every observation the extraction accumulates is a commutative
 // set/counter union (2T-INF edge sets, occurrence counters, root tallies)
@@ -136,50 +134,35 @@ func shardBounds(docs []Doc, shardCount int) []int {
 	return bounds
 }
 
-// AddDocumentsParallel ingests a batch of documents across workers
-// goroutines (workers <= 0 selects runtime.GOMAXPROCS(0)), labeling
-// documents by position. Semantics, report and resulting extraction are
-// identical to AddDocuments.
-func (x *Extraction) AddDocumentsParallel(docs []io.Reader, workers int, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
-	labeled := make([]Doc, len(docs))
-	for i, r := range docs {
-		labeled[i] = Doc{Label: fmt.Sprintf("document %d", i), R: r}
-	}
-	return x.AddDocsParallel(labeled, workers, opts, policy)
-}
-
-// AddDocsParallel is AddDocumentsParallel with caller-supplied labels.
-func (x *Extraction) AddDocsParallel(docs []Doc, workers int, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
-	return x.AddDocsParallelContext(context.Background(), docs, workers, opts, policy)
-}
-
-// AddDocumentsParallelContext is AddDocumentsParallel under a context,
-// labeling documents by position. See AddDocsParallelContext for the
-// cancellation contract.
-func (x *Extraction) AddDocumentsParallelContext(ctx context.Context, docs []io.Reader, workers int, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
-	labeled := make([]Doc, len(docs))
-	for i, r := range docs {
-		labeled[i] = Doc{Label: fmt.Sprintf("document %d", i), R: r}
-	}
-	return x.AddDocsParallelContext(ctx, labeled, workers, opts, policy)
-}
-
-// AddDocsParallelContext is AddDocsParallel under a context. Workers check
-// the context before claiming each shard and inside every document's
-// decode loop, so a cancelled call returns promptly with ctx.Err() and no
-// lingering goroutines (the call still joins its workers before
-// returning). Cancellation is batch-atomic: with a cancellable context
-// the pipelined committer folds into a staging extraction that x adopts
-// only on success, so a cancelled call — even one cancelled with shards
-// already in the commit channel — leaves x exactly as it was. The
-// returned report carries PipelineStats (per-stage wall and idle
-// timings) when the pipelined path ran.
+// AddDocsParallelContext is the batch verb: it ingests docs with
+// per-document fault isolation under the chosen policy and IngestOptions
+// caps, across workers goroutines (workers <= 0 selects
+// runtime.GOMAXPROCS(0)). The report is never nil. Under SkipAndRecord
+// the error is nil (or the context's) and failures are only recorded in
+// the report; under FailFast the first failing document's
+// *DocumentError is returned (and recorded), the documents before it
+// stay committed and later ones are not committed. Callers without file
+// names label documents with LabelDocs.
+//
+// One worker, or fewer than two documents, commits document by document
+// (addDocsSequential); otherwise the pipeline (pipeline.go) stages
+// shards in parallel and commits them in order. Both produce the same
+// extraction and report. Workers check the context before claiming each
+// shard and inside every document's decode loop, so a cancelled call
+// returns promptly with ctx.Err() and no lingering goroutines (the call
+// still joins its workers before returning). Cancellation is
+// batch-atomic: with a cancellable context the documents commit into a
+// staging extraction that x adopts only on success, so a cancelled call
+// — even one cancelled with shards already in the commit channel —
+// leaves x exactly as it was. The returned report carries
+// PipelineStats (per-stage wall and idle timings) when the pipelined
+// path ran.
 func (x *Extraction) AddDocsParallelContext(ctx context.Context, docs []Doc, workers int, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers == 1 || len(docs) < 2 {
-		return x.AddDocsContext(ctx, docs, opts, policy)
+		return x.addDocsSequential(ctx, docs, opts, policy)
 	}
 	shardCount := workers * shardsPerWorker
 	if shardCount > len(docs) {

@@ -1,6 +1,7 @@
 package dtd
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -58,13 +59,13 @@ func TestParallelExtractionIdenticalToSequential(t *testing.T) {
 		t.Run(decoder.String(), func(t *testing.T) {
 			opts := &IngestOptions{Decoder: decoder}
 			seq := NewExtraction()
-			seqReport, err := seq.AddDocs(docList(docs), opts, SkipAndRecord)
+			seqReport, err := seq.AddDocsParallelContext(context.Background(), docList(docs), 1, opts, SkipAndRecord)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{0, 1, 2, 3, 8, 64} {
 				par := NewExtraction()
-				parReport, err := par.AddDocsParallel(docList(docs), workers, opts, SkipAndRecord)
+				parReport, err := par.AddDocsParallelContext(context.Background(), docList(docs), workers, opts, SkipAndRecord)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -85,13 +86,13 @@ func TestParallelSkipAndRecordMatchesSequentialOnErrors(t *testing.T) {
 		docs[i] = "<unclosed>"
 	}
 	seq := NewExtraction()
-	seqReport, _ := seq.AddDocs(docList(docs), nil, SkipAndRecord)
+	seqReport, _ := seq.AddDocsParallelContext(context.Background(), docList(docs), 1, nil, SkipAndRecord)
 	if seqReport.Rejected != 4 {
 		t.Fatalf("sequential rejected %d, want 4", seqReport.Rejected)
 	}
 	for _, workers := range []int{2, 8} {
 		par := NewExtraction()
-		parReport, err := par.AddDocsParallel(docList(docs), workers, nil, SkipAndRecord)
+		parReport, err := par.AddDocsParallelContext(context.Background(), docList(docs), workers, nil, SkipAndRecord)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -117,13 +118,13 @@ func TestParallelFailFastCommitsSequentialPrefix(t *testing.T) {
 	docs := genDocs(5, 60)
 	docs[37] = "<unclosed>"
 	seq := NewExtraction()
-	seqReport, seqErr := seq.AddDocs(docList(docs), nil, FailFast)
+	seqReport, seqErr := seq.AddDocsParallelContext(context.Background(), docList(docs), 1, nil, FailFast)
 	if seqErr == nil {
 		t.Fatal("sequential FailFast did not fail")
 	}
 	for _, workers := range []int{2, 8} {
 		par := NewExtraction()
-		parReport, parErr := par.AddDocsParallel(docList(docs), workers, nil, FailFast)
+		parReport, parErr := par.AddDocsParallelContext(context.Background(), docList(docs), workers, nil, FailFast)
 		if parErr == nil {
 			t.Fatalf("workers=%d: FailFast did not fail", workers)
 		}
@@ -158,7 +159,7 @@ func TestAddDocumentsParallelLabelsByPosition(t *testing.T) {
 		strings.NewReader("<b/>"),
 	}
 	x := NewExtraction()
-	report, err := x.AddDocumentsParallel(docs, 2, nil, SkipAndRecord)
+	report, err := x.AddDocsParallelContext(context.Background(), LabelDocs(docs), 2, nil, SkipAndRecord)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,8 +67,8 @@ type PipelineStats struct {
 	// contiguous corpus shards they claimed from.
 	Workers int
 	Shards  int
-	// FlushUnits counts stage units shipped to the committer (>= Shards
-	// on the fast path: every shard ships at least its final unit).
+	// FlushUnits counts stage units shipped to the committer (>= Shards:
+	// every shard ships at least its final unit).
 	FlushUnits int
 	// ArenaReuses counts units whose staging arena came from the free
 	// list of already-committed units instead of a fresh allocation.
@@ -93,16 +93,14 @@ type PipelineStats struct {
 }
 
 // stageMsg is one sealed stage unit traveling from a worker to the
-// committer. Exactly one of fast (fast decoder: ID-space stage) and std
-// (std decoder: per-shard staging extraction) is set on a unit carrying
-// data; a final message additionally carries the shard's report and its
-// FailFast document error. Every message holds one of its worker's
-// in-flight tokens, returned by the committer on commit or discard.
+// committer: an ID-space shard stage, whichever decoder staged it. A
+// final message additionally carries the shard's report and its FailFast
+// document error. Every message holds one of its worker's in-flight
+// tokens, returned by the committer on commit or discard.
 type stageMsg struct {
 	shard  int
 	worker int
-	fast   *fastShard
-	std    *Extraction
+	unit   *shardStage
 	final  bool
 	report IngestReport
 	err    *DocumentError
@@ -121,8 +119,8 @@ type pipeline struct {
 	failedShard int64 // lowest shard that hit FailFast (-1: committer abort)
 
 	ch       chan stageMsg
-	inflight []chan struct{} // per-worker token pools, cap unitsPerWorker
-	free     chan *fastShard // committed arenas awaiting reuse
+	inflight []chan struct{}  // per-worker token pools, cap unitsPerWorker
+	free     chan *shardStage // committed arenas awaiting reuse
 
 	// worker-side counters (atomics).
 	decodeNs    int64
@@ -156,14 +154,14 @@ func (p *pipeline) acquire(tokens chan struct{}, waited *int64) bool {
 
 // getShard returns a staging arena, recycling a committed one when the
 // free list has any.
-func (p *pipeline) getShard() *fastShard {
+func (p *pipeline) getShard() *shardStage {
 	select {
 	case sh := <-p.free:
 		sh.reset()
 		atomic.AddInt64(&p.arenaReuses, 1)
 		return sh
 	default:
-		return &fastShard{}
+		return &shardStage{}
 	}
 }
 
@@ -171,11 +169,9 @@ func (p *pipeline) getShard() *fastShard {
 // Capacities make both sends non-blocking: every in-flight message holds
 // exactly one token, and free is sized for every token in the system.
 func (p *pipeline) release(m stageMsg) {
-	if m.fast != nil {
-		select {
-		case p.free <- m.fast:
-		default:
-		}
+	select {
+	case p.free <- m.unit:
+	default:
 	}
 	select {
 	case p.inflight[m.worker] <- struct{}{}:
@@ -184,14 +180,13 @@ func (p *pipeline) release(m stageMsg) {
 }
 
 // worker claims shards and decodes them, shipping sealed stage units as
-// it goes. On the fast path the afterDoc hook seals a partial unit
-// whenever the staged bytes cross the flush budget; the final unit rides
-// with the shard's report. A worker that observes cancellation while
+// it goes. The afterDoc hook seals a partial unit whenever the staged
+// bytes cross the flush budget; the final unit rides with the shard's
+// report. A worker that observes cancellation while
 // waiting for a token abandons its shard unshipped — the committer is in
 // drain mode by then and the batch result is discarded anyway.
 func (p *pipeline) worker(w int) {
-	ing := newIngester(p.opts)
-	fi, fast := ing.(*fastIngester)
+	st := newStager(p.opts)
 	tokens := p.inflight[w]
 	for {
 		if p.ctx.Err() != nil {
@@ -214,32 +209,27 @@ func (p *pipeline) worker(w int) {
 		start := time.Now()
 		msg := stageMsg{shard: si, worker: w, final: true}
 		shardDocs := p.docs[p.bounds[si]:p.bounds[si+1]]
-		if fast {
-			fi.beginShard(p.getShard())
-			fi.afterDoc = func() {
-				if fi.shard.bytes < shardFlushBytes {
-					return
-				}
-				if !p.acquire(tokens, &waited) {
-					// Cancelled: keep staging in place; the decode loop
-					// aborts at its next cancellation checkpoint.
-					return
-				}
-				unit := fi.shard
-				unit.sealNames(fi.names)
-				atomic.AddInt64(&p.flushUnits, 1)
-				p.ch <- stageMsg{shard: si, worker: w, fast: unit}
-				fi.shard = p.getShard()
+		st.beginShard(p.getShard())
+		st.afterDoc = func() {
+			if st.shard.bytes < shardFlushBytes {
+				return
 			}
-			msg.err, _ = runIngest(ing, p.ctx, nil, shardDocs, p.bounds[si], p.opts, p.policy, &msg.report)
-			fi.afterDoc = nil
-			msg.fast = fi.shard
-			msg.fast.sealNames(fi.names)
-			fi.endShard()
-		} else {
-			msg.std = NewExtraction()
-			msg.err, _ = runIngest(ing, p.ctx, msg.std, shardDocs, p.bounds[si], p.opts, p.policy, &msg.report)
+			if !p.acquire(tokens, &waited) {
+				// Cancelled: keep staging in place; the decode loop
+				// aborts at its next cancellation checkpoint.
+				return
+			}
+			unit := st.shard
+			unit.sealNames(st.names)
+			atomic.AddInt64(&p.flushUnits, 1)
+			p.ch <- stageMsg{shard: si, worker: w, unit: unit}
+			st.shard = p.getShard()
 		}
+		msg.err, _ = ingestDocs(st, p.ctx, nil, shardDocs, p.bounds[si], p.opts, p.policy, &msg.report)
+		st.afterDoc = nil
+		msg.unit = st.shard
+		msg.unit.sealNames(st.names)
+		st.endShard()
 		atomic.AddInt64(&p.decodeNs, int64(time.Since(start))-waited)
 		atomic.AddInt64(&p.flushWaitNs, waited)
 		if msg.err != nil && p.policy == FailFast {
@@ -271,13 +261,13 @@ type workerCommit struct {
 	targets []commitTarget
 }
 
-// commitFastShard folds one sealed stage unit into the target. It runs
+// commitShard folds one sealed stage unit into the target. It runs
 // only on the committer goroutine, in (shard, unit) order, resolving
 // symbols from the unit's sealed name snapshot — never from the staging
 // worker's live table. Walking touched in first-touch order makes every
 // corpus-level first sight happen in sequential document order, which is
 // what keeps the result byte-identical to sequential ingestion.
-func commitFastShard(wc *workerCommit, sh *fastShard, target *Extraction) {
+func commitShard(wc *workerCommit, sh *shardStage, target *Extraction) {
 	for _, w := range sh.touched {
 		se := sh.perElem[w]
 		name := sh.names[w]
@@ -356,11 +346,7 @@ func (c *committer) commitUnit(m stageMsg) {
 		return
 	}
 	t0 := time.Now()
-	if m.fast != nil {
-		commitFastShard(&c.states[m.worker], m.fast, c.target)
-	} else if m.std != nil {
-		c.target.Merge(m.std)
-	}
+	commitShard(&c.states[m.worker], m.unit, c.target)
 	c.p.commitNs += int64(time.Since(t0))
 	c.p.release(m)
 }
@@ -451,7 +437,7 @@ func (x *Extraction) runPipeline(ctx context.Context, docs []Doc, bounds []int, 
 		failedShard: int64(shardCount),
 		ch:          make(chan stageMsg, workers),
 		inflight:    make([]chan struct{}, workers),
-		free:        make(chan *fastShard, workers*unitsPerWorker),
+		free:        make(chan *shardStage, workers*unitsPerWorker),
 	}
 	for w := range p.inflight {
 		tokens := make(chan struct{}, unitsPerWorker)

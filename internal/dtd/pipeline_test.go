@@ -29,13 +29,13 @@ func TestPipelineFlushUnitSplittingByteIdentity(t *testing.T) {
 	withFlushBytes(t, 64)
 	docs := genDocs(31, 150)
 	seq := NewExtraction()
-	seqReport, err := seq.AddDocs(docList(docs), nil, SkipAndRecord)
+	seqReport, err := seq.AddDocsParallelContext(context.Background(), docList(docs), 1, nil, SkipAndRecord)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8} {
 		par := NewExtraction()
-		parReport, err := par.AddDocsParallel(docList(docs), workers, nil, SkipAndRecord)
+		parReport, err := par.AddDocsParallelContext(context.Background(), docList(docs), workers, nil, SkipAndRecord)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -65,7 +65,7 @@ func TestPipelineArenaReuseSingleWorker(t *testing.T) {
 	withFlushBytes(t, 64)
 	docs := genDocs(7, 80)
 	seq := NewExtraction()
-	if _, err := seq.AddDocs(docList(docs), nil, SkipAndRecord); err != nil {
+	if _, err := seq.AddDocsParallelContext(context.Background(), docList(docs), 1, nil, SkipAndRecord); err != nil {
 		t.Fatal(err)
 	}
 	par := NewExtraction()
@@ -96,13 +96,13 @@ func TestPipelineArenaReuseSingleWorker(t *testing.T) {
 func TestPipelineCommitFaultLeavesCorpusUntouched(t *testing.T) {
 	defer faultinject.Reset()
 	x := NewExtraction()
-	if _, err := x.AddDocs(docList(genDocs(3, 10)), nil, FailFast); err != nil {
+	if _, err := x.AddDocsParallelContext(context.Background(), docList(genDocs(3, 10)), 1, nil, FailFast); err != nil {
 		t.Fatal(err)
 	}
 	before := snapshot(x)
 	boom := errors.New("injected commit failure")
 	faultinject.Set("pipeline.commit", "2", faultinject.Fault{Err: boom})
-	report, err := x.AddDocsParallel(docList(genDocs(13, 60)), 3, nil, SkipAndRecord)
+	report, err := x.AddDocsParallelContext(context.Background(), docList(genDocs(13, 60)), 3, nil, SkipAndRecord)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
@@ -125,7 +125,7 @@ func TestPipelineCancelWithUnitsInCommitChannel(t *testing.T) {
 			defer faultinject.Reset()
 			opts := &IngestOptions{Decoder: decoder}
 			x := NewExtraction()
-			if _, err := x.AddDocs(docList(genDocs(17, 8)), opts, FailFast); err != nil {
+			if _, err := x.AddDocsParallelContext(context.Background(), docList(genDocs(17, 8)), 1, opts, FailFast); err != nil {
 				t.Fatal(err)
 			}
 			before := snapshot(x)
@@ -156,7 +156,7 @@ func TestPipelineCancellableContextByteIdentical(t *testing.T) {
 			opts := &IngestOptions{Decoder: decoder}
 			docs := genDocs(41, 120)
 			seq := NewExtraction()
-			seqReport, err := seq.AddDocs(docList(docs), opts, SkipAndRecord)
+			seqReport, err := seq.AddDocsParallelContext(context.Background(), docList(docs), 1, opts, SkipAndRecord)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,14 +179,14 @@ func TestPipelineCancellableContextByteIdentical(t *testing.T) {
 			// Merge path: same prefix on both sides, then the batch.
 			prefix := genDocs(43, 15)
 			seq2 := NewExtraction()
-			if _, err := seq2.AddDocs(docList(prefix), opts, FailFast); err != nil {
+			if _, err := seq2.AddDocsParallelContext(context.Background(), docList(prefix), 1, opts, FailFast); err != nil {
 				t.Fatal(err)
 			}
 			par2 := NewExtraction()
-			if _, err := par2.AddDocs(docList(prefix), opts, FailFast); err != nil {
+			if _, err := par2.AddDocsParallelContext(context.Background(), docList(prefix), 1, opts, FailFast); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := seq2.AddDocs(docList(docs), opts, SkipAndRecord); err != nil {
+			if _, err := seq2.AddDocsParallelContext(context.Background(), docList(docs), 1, opts, SkipAndRecord); err != nil {
 				t.Fatal(err)
 			}
 			ctx, cancel := context.WithCancel(context.Background())
@@ -210,13 +210,13 @@ func TestPipelineFailFastWithFlushUnits(t *testing.T) {
 	docs := genDocs(29, 90)
 	docs[61] = "<unclosed>"
 	seq := NewExtraction()
-	seqReport, seqErr := seq.AddDocs(docList(docs), nil, FailFast)
+	seqReport, seqErr := seq.AddDocsParallelContext(context.Background(), docList(docs), 1, nil, FailFast)
 	if seqErr == nil {
 		t.Fatal("sequential FailFast did not fail")
 	}
 	for _, workers := range []int{2, 8} {
 		par := NewExtraction()
-		parReport, parErr := par.AddDocsParallel(docList(docs), workers, nil, FailFast)
+		parReport, parErr := par.AddDocsParallelContext(context.Background(), docList(docs), workers, nil, FailFast)
 		if parErr == nil {
 			t.Fatalf("workers=%d: FailFast did not fail", workers)
 		}
@@ -236,7 +236,7 @@ func TestPipelineFailFastWithFlushUnits(t *testing.T) {
 // report renders the per-stage breakdown.
 func TestPipelineStatsRendered(t *testing.T) {
 	x := NewExtraction()
-	report, err := x.AddDocsParallel(docList(genDocs(47, 40)), 4, nil, SkipAndRecord)
+	report, err := x.AddDocsParallelContext(context.Background(), docList(genDocs(47, 40)), 4, nil, SkipAndRecord)
 	if err != nil {
 		t.Fatal(err)
 	}

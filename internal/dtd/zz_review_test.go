@@ -1,6 +1,7 @@
 package dtd
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -29,7 +30,7 @@ func TestReviewShardAttCapDivergence(t *testing.T) {
 	}
 
 	seq := NewExtraction()
-	if _, err := seq.AddDocs(mk(), nil, SkipAndRecord); err != nil {
+	if _, err := seq.AddDocsParallelContext(context.Background(), mk(), 1, nil, SkipAndRecord); err != nil {
 		t.Fatal(err)
 	}
 	par := NewExtraction()

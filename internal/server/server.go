@@ -335,6 +335,3 @@ func (s *Server) Close(deadline time.Duration) error {
 // ErrDrainTimeout is returned by Close when workers did not finish
 // flushing within the drain deadline.
 var ErrDrainTimeout = fmt.Errorf("server: drain deadline exceeded")
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }

@@ -156,9 +156,6 @@ func (t *Tokenizer) Text() []byte { return t.text }
 // InputOffset returns the number of input bytes consumed so far.
 func (t *Tokenizer) InputOffset() int64 { return t.offset }
 
-// Depth returns the number of currently open elements.
-func (t *Tokenizer) Depth() int { return len(t.stack) }
-
 // Next advances to the next token. At clean end of input it returns
 // (EOF, io.EOF); any other error is sticky. Ending the input with
 // elements still open is a syntax error, like encoding/xml's Token.

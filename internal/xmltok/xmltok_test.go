@@ -17,15 +17,35 @@ type event struct {
 	name  string   // StartElement/EndElement local name
 	text  string   // CharData content
 	attrs []string // "local=value" per attribute, in order
+	off   int64    // decoder input offset after the token
 }
 
 func (e event) String() string {
-	return fmt.Sprintf("{%d %q %q %v}", e.kind, e.name, e.text, e.attrs)
+	return fmt.Sprintf("{%d %q %q %v @%d}", e.kind, e.name, e.text, e.attrs, e.off)
+}
+
+// tokenStream is what driveTok reads: the Tokenizer or a Source.
+type tokenStream interface {
+	Next() (Kind, error)
+	Name() []byte
+	Attr() []Attr
+	Text() []byte
+	InputOffset() int64
 }
 
 // driveTok runs the fast tokenizer to completion.
 func driveTok(t *Tokenizer, data string) ([]event, error) {
 	t.Reset(strings.NewReader(data))
+	return drive(t)
+}
+
+// driveSource runs a token source to completion.
+func driveSource(s *Source, data string) ([]event, error) {
+	s.Reset(strings.NewReader(data))
+	return drive(s)
+}
+
+func drive(t tokenStream) ([]event, error) {
 	var evs []event
 	for {
 		kind, err := t.Next()
@@ -35,7 +55,7 @@ func driveTok(t *Tokenizer, data string) ([]event, error) {
 		if err != nil {
 			return evs, err
 		}
-		ev := event{kind: kind}
+		ev := event{kind: kind, off: t.InputOffset()}
 		switch kind {
 		case StartElement:
 			ev.name = string(t.Name())
@@ -52,7 +72,9 @@ func driveTok(t *Tokenizer, data string) ([]event, error) {
 }
 
 // driveStd runs the encoding/xml oracle to completion in strict mode.
-func driveStd(data string) ([]event, error) {
+// With nsFilter set it drops namespace declarations the way extraction
+// does (resolved Name.Space "xmlns", or local name "xmlns").
+func driveStd(data string, nsFilter bool) ([]event, error) {
 	dec := xml.NewDecoder(strings.NewReader(data))
 	var evs []event
 	for {
@@ -63,34 +85,49 @@ func driveStd(data string) ([]event, error) {
 		if err != nil {
 			return evs, err
 		}
+		off := dec.InputOffset()
 		switch t := tok.(type) {
 		case xml.StartElement:
-			ev := event{kind: StartElement, name: t.Name.Local}
+			ev := event{kind: StartElement, name: t.Name.Local, off: off}
 			for _, a := range t.Attr {
+				if nsFilter && (a.Name.Space == "xmlns" || a.Name.Local == "xmlns") {
+					continue
+				}
 				ev.attrs = append(ev.attrs, a.Name.Local+"="+a.Value)
 			}
 			evs = append(evs, ev)
 		case xml.EndElement:
-			evs = append(evs, event{kind: EndElement, name: t.Name.Local})
+			evs = append(evs, event{kind: EndElement, name: t.Name.Local, off: off})
 		case xml.CharData:
-			evs = append(evs, event{kind: CharData, text: string(t)})
+			evs = append(evs, event{kind: CharData, text: string(t), off: off})
 		case xml.Comment:
-			evs = append(evs, event{kind: Comment})
+			evs = append(evs, event{kind: Comment, off: off})
 		case xml.ProcInst:
-			evs = append(evs, event{kind: ProcInst})
+			evs = append(evs, event{kind: ProcInst, off: off})
 		case xml.Directive:
-			evs = append(evs, event{kind: Directive})
+			evs = append(evs, event{kind: Directive, off: off})
 		}
 	}
 }
 
+// sameEvents compares token streams, offsets excluded (the decoders
+// count consumed bytes differently).
 func sameEvents(a, b []event) bool {
+	return sameTokens(a, b, true)
+}
+
+// sameTokens compares kinds, names and text, and attributes when attrs
+// is set.
+func sameTokens(a, b []event, attrs bool) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
 		if a[i].kind != b[i].kind || a[i].name != b[i].name || a[i].text != b[i].text {
 			return false
+		}
+		if !attrs {
+			continue
 		}
 		if len(a[i].attrs) != len(b[i].attrs) {
 			return false
@@ -260,7 +297,7 @@ func TestTokenizerEquivalence(t *testing.T) {
 	tok := NewTokenizer()
 	for _, doc := range equivalenceCorpus {
 		fastEvs, fastErr := driveTok(tok, doc)
-		stdEvs, stdErr := driveStd(doc)
+		stdEvs, stdErr := driveStd(doc, false)
 		if (fastErr != nil) != (stdErr != nil) {
 			t.Errorf("doc %q: fast err = %v, std err = %v", doc, fastErr, stdErr)
 			continue
@@ -285,7 +322,7 @@ func TestTokenizerEquivalence(t *testing.T) {
 func TestTokenizerBufferBoundaries(t *testing.T) {
 	doc := `<root a="v&amp;1"><!-- c --><x:kid xmlns:x="u">text &#65;</x:kid>` +
 		"<k><![CDATA[cd]]x]]></k>\r\n</root>"
-	want, err := driveStd(strings.Repeat(" ", 7) + doc)
+	want, err := driveStd(strings.Repeat(" ", 7)+doc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,8 +424,45 @@ func TestTokenizerReuseAllocs(t *testing.T) {
 	}
 }
 
+// checkSources drives both token sources over one document. The std
+// source must reproduce encoding/xml exactly — kinds, names, filtered
+// attributes, text, offsets and the error — and agree with the
+// Tokenizer on acceptance, kinds, names and text. The fast source must
+// be the Tokenizer, offsets included.
+func checkSources(t *testing.T, fast, std *Source, tok *Tokenizer, doc string) {
+	t.Helper()
+	srcEvs, srcErr := driveSource(std, doc)
+	refEvs, refErr := driveStd(doc, true)
+	if fmt.Sprint(srcErr) != fmt.Sprint(refErr) {
+		t.Fatalf("doc %q: std source err = %v, encoding/xml err = %v", doc, srcErr, refErr)
+	}
+	if fmt.Sprint(srcEvs) != fmt.Sprint(refEvs) {
+		t.Fatalf("doc %q: std source diverges from encoding/xml:\nsource: %v\nstd:    %v", doc, srcEvs, refEvs)
+	}
+	tokEvs, tokErr := driveTok(tok, doc)
+	if (tokErr != nil) != (srcErr != nil) {
+		t.Fatalf("doc %q: accept/reject mismatch: tokenizer err = %v, std source err = %v", doc, tokErr, srcErr)
+	}
+	if !sameTokens(tokEvs, srcEvs, false) {
+		t.Fatalf("doc %q: std source diverges from tokenizer:\ntok:    %v\nsource: %v", doc, tokEvs, srcEvs)
+	}
+	fastEvs, fastErr := driveSource(fast, doc)
+	if fmt.Sprint(fastErr) != fmt.Sprint(tokErr) || fmt.Sprint(fastEvs) != fmt.Sprint(tokEvs) {
+		t.Fatalf("doc %q: fast source diverges from tokenizer:\nsource: %v (%v)\ntok:    %v (%v)",
+			doc, fastEvs, fastErr, tokEvs, tokErr)
+	}
+}
+
+func TestSourceEquivalence(t *testing.T) {
+	fast, std, tok := NewSource(false), NewSource(true), NewTokenizer()
+	for _, doc := range equivalenceCorpus {
+		checkSources(t, fast, std, tok, doc)
+	}
+}
+
 // FuzzStreamEquivalence cross-checks the raw token stream against
-// encoding/xml on arbitrary bytes. The dtd-level differential target
+// encoding/xml on arbitrary bytes, and drives the std token source
+// against both (see checkSources). The dtd-level differential target
 // (FuzzTokenizerEquivalence) covers extraction state; this one catches
 // divergence in tokens extraction happens to ignore.
 func FuzzStreamEquivalence(f *testing.F) {
@@ -396,14 +470,16 @@ func FuzzStreamEquivalence(f *testing.F) {
 		f.Add(doc)
 	}
 	tok := NewTokenizer()
+	fast, std := NewSource(false), NewSource(true)
 	f.Fuzz(func(t *testing.T, doc string) {
 		fastEvs, fastErr := driveTok(tok, doc)
-		stdEvs, stdErr := driveStd(doc)
+		stdEvs, stdErr := driveStd(doc, false)
 		if (fastErr != nil) != (stdErr != nil) {
 			t.Fatalf("accept/reject mismatch: fast err = %v, std err = %v", fastErr, stdErr)
 		}
 		if !sameEvents(fastEvs, stdEvs) {
 			t.Fatalf("token streams diverge:\nfast: %v\nstd:  %v", fastEvs, stdEvs)
 		}
+		checkSources(t, fast, std, tok, doc)
 	})
 }

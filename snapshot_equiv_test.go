@@ -30,7 +30,7 @@ func ingestEquiv(t *testing.T, docs []string, decoder dtd.DecoderKind, workers i
 	}
 	x := NewExtraction()
 	opts := &dtd.IngestOptions{Decoder: decoder}
-	if _, err := x.AddDocumentsParallelContext(context.Background(), readers, workers, opts, dtd.FailFast); err != nil {
+	if _, err := x.AddDocsParallelContext(context.Background(), dtd.LabelDocs(readers), workers, opts, dtd.FailFast); err != nil {
 		t.Fatalf("decoder=%s workers=%d: %v", decoder, workers, err)
 	}
 	return x
