@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check race check bench bench-smoke fuzz-smoke profile incremental-smoke snapshot-smoke serve-smoke pipeline-smoke loc
+.PHONY: build test vet fmt-check race check bench bench-smoke fuzz-smoke profile incremental-smoke snapshot-smoke serve-smoke pipeline-smoke perfbench-check loc
 
 build:
 	$(GO) build ./...
@@ -65,7 +65,13 @@ pipeline-smoke:
 		-run 'TestPipeline|TestParallelExtractionIdenticalToSequential|TestParallelInternIDsIdenticalAcrossWorkerCounts|TestParallelIngestion' \
 		./internal/dtd .
 
-check: fmt-check vet incremental-smoke snapshot-smoke serve-smoke pipeline-smoke race
+# perfbench-check builds, vets and tests the benchmark harness. perfbench
+# is its own module, outside ./..., so without this gate nothing notices
+# when a change breaks the library API the benchmark drives.
+perfbench-check:
+	cd perfbench && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
+
+check: fmt-check vet incremental-smoke snapshot-smoke serve-smoke pipeline-smoke perfbench-check race
 
 # bench records the perf-trajectory workloads (Section 8.3 timings, the
 # end-to-end pipeline at several ingestion worker counts, the isolated

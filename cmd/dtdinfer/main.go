@@ -257,7 +257,7 @@ func (l *lazyFile) Read(p []byte) (int, error) {
 
 func (l *lazyFile) Len() int { return int(l.size) }
 
-// Close closes the file if it is open; closeDocs calls it for files a
+// Close closes the file if it is open; closeDoc calls it for files a
 // failed document or a FailFast abort left open.
 func (l *lazyFile) Close() error {
 	if l.f == nil {
@@ -270,9 +270,13 @@ func (l *lazyFile) Close() error {
 
 func closeDocs(docs []dtd.Doc) {
 	for _, d := range docs {
-		if c, ok := d.R.(io.Closer); ok && d.R != os.Stdin {
-			c.Close()
-		}
+		closeDoc(d)
+	}
+}
+
+func closeDoc(d dtd.Doc) {
+	if c, ok := d.R.(io.Closer); ok && d.R != os.Stdin {
+		c.Close()
 	}
 }
 
@@ -281,11 +285,14 @@ func closeDocs(docs []dtd.Doc) {
 func runContextual(k int, algo core.Algorithm, opts *core.Options, format string,
 	ingest *dtd.IngestOptions, policy dtd.ErrorPolicy, stats bool) {
 	docs := openDocs()
-	defer closeDocs(docs)
 	x := contextual.NewExtraction(k)
 	accepted, rejected := 0, 0
 	for _, doc := range docs {
-		if err := x.AddDocumentOptions(doc.R, ingest); err != nil {
+		// A document that fails mid-parse never reads to EOF, so close
+		// it here rather than at exit: one open file at a time.
+		err := x.AddDocumentOptions(doc.R, ingest)
+		closeDoc(doc)
+		if err != nil {
 			if policy == dtd.FailFast {
 				fatal(fmt.Errorf("%s: %w", doc.Label, err))
 			}

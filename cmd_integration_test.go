@@ -246,6 +246,49 @@ func TestCLIDtdinferManyFilesLowFDLimit(t *testing.T) {
 	}
 }
 
+// TestCLIDtdinferContextualManyFilesLowFDLimit is the -context sibling
+// of TestCLIDtdinferManyFilesLowFDLimit over a mix of malformed and good
+// files. A malformed document fails mid-parse without reading to EOF, so
+// its file must be closed as soon as the document is done, not at exit:
+// under the limit the output must be byte-identical to the run without
+// it.
+func TestCLIDtdinferContextualManyFilesLowFDLimit(t *testing.T) {
+	if _, err := exec.LookPath("sh"); err != nil {
+		t.Skip("no sh to set the file limit with")
+	}
+	bin := filepath.Join(buildTools(t), "dtdinfer")
+	dir := t.TempDir()
+	const n = 200
+	var paths []string
+	for i := 0; i < n; i++ {
+		good := fmt.Sprintf("<lib><book id=\"b%d\"><title>t%d</title>%s</book>%s</lib>",
+			i, i, strings.Repeat("<author>a</author>", i%3), strings.Repeat("<note/>", i%2))
+		bad := fmt.Sprintf("<lib><book><title>t%d</book></lib>", i)
+		paths = append(paths,
+			writeFile(t, dir, fmt.Sprintf("bad%03d.xml", i), bad),
+			writeFile(t, dir, fmt.Sprintf("good%03d.xml", i), good))
+	}
+	run := func(limit string) string {
+		t.Helper()
+		args := append([]string{"-c", limit + `exec "$0" "$@"`, bin, "-context", "1", "-skip-malformed"}, paths...)
+		cmd := exec.Command("sh", args...)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%q: %v\nstderr: %s", limit, err, stderr.String())
+		}
+		if strings.Contains(stderr.String(), "too many open files") {
+			t.Errorf("%q: ran out of file descriptors:\n%.500s", limit, stderr.String())
+		}
+		return string(out)
+	}
+	want := run("")
+	if got := run("ulimit -n 64 && "); got != want {
+		t.Errorf("output under ulimit -n 64 differs:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestCLIDtdinferDecodingCaps(t *testing.T) {
 	dir := t.TempDir()
 	var b strings.Builder

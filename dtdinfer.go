@@ -177,7 +177,21 @@ type InferStats = dtd.InferStats
 // it, with the failure recorded in the report.
 func InferDTDWithReport(docs []io.Reader, algo Algorithm, opts *Options,
 	ingest *IngestOptions, policy ErrorPolicy) (*DTD, *IngestReport, *InferStats, error) {
-	return core.InferDTDReport(docs, algo, opts, ingest, policy)
+	_, d, report, stats, err := inferDocs(context.Background(), docs, algo, opts, ingest, policy)
+	return d, report, stats, err
+}
+
+// inferDocs is the one path behind every document-level entry point:
+// ingest into a fresh extraction, then run its (cold) inference pass.
+// The stats are nil when ingestion failed.
+func inferDocs(ctx context.Context, docs []io.Reader, algo Algorithm, opts *Options,
+	ingest *IngestOptions, policy ErrorPolicy) (*Extraction, *DTD, *IngestReport, *InferStats, error) {
+	x, report, err := core.Ingest(ctx, docs, opts, ingest, policy)
+	if err != nil {
+		return nil, nil, report, nil, err
+	}
+	d, stats, err := core.InferDTDFromExtractionContext(ctx, x, algo, opts)
+	return x, d, report, stats, err
 }
 
 // Validator checks documents against a DTD.
@@ -202,7 +216,7 @@ func InferContentModel(sample [][]string, algo Algorithm, opts *Options) (*Expr,
 // InferDTD extracts element sequences from the XML documents and infers a
 // complete DTD.
 func InferDTD(docs []io.Reader, algo Algorithm, opts *Options) (*DTD, error) {
-	return core.InferDTD(docs, algo, opts)
+	return InferDTDContext(context.Background(), docs, algo, opts)
 }
 
 // InferDTDContext is InferDTD under a context: cancellation propagates
@@ -211,7 +225,8 @@ func InferDTD(docs []io.Reader, algo Algorithm, opts *Options) (*DTD, error) {
 // ladder. A cancelled call returns ctx.Err() promptly without leaking
 // goroutines.
 func InferDTDContext(ctx context.Context, docs []io.Reader, algo Algorithm, opts *Options) (*DTD, error) {
-	return core.InferDTDContext(ctx, docs, algo, opts)
+	_, d, _, _, err := inferDocs(ctx, docs, algo, opts, nil, FailFast)
+	return d, err
 }
 
 // InferDTDFromExtraction infers a DTD from pre-extracted sequences,
@@ -295,13 +310,17 @@ func ReadCorpus(r io.Reader) (*Extraction, error) { return core.ReadCorpus(r) }
 // InferXSD infers a schema and renders it as W3C XML Schema with datatype
 // detection over the sampled text values.
 func InferXSD(docs []io.Reader, algo Algorithm, opts *Options) (string, error) {
-	return core.InferXSD(docs, algo, opts)
+	return InferXSDContext(context.Background(), docs, algo, opts)
 }
 
 // InferXSDContext is InferXSD under a context, with the same cancellation
 // and budget semantics as InferDTDContext.
 func InferXSDContext(ctx context.Context, docs []io.Reader, algo Algorithm, opts *Options) (string, error) {
-	return core.InferXSDContext(ctx, docs, algo, opts)
+	x, d, _, _, err := inferDocs(ctx, docs, algo, opts, nil, FailFast)
+	if err != nil {
+		return "", err
+	}
+	return xsd.Generate(d, x.TextSamples), nil
 }
 
 // GenerateXSD renders an existing DTD as XML Schema; textSamples (may be

@@ -1,8 +1,10 @@
 package dtdinfer
 
 import (
+	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"dtdinfer/internal/corpus"
@@ -94,6 +96,13 @@ func TestInferXSDEndToEnd(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("XSD missing %q\n%s", want, out)
 		}
+	}
+	broken := []string{"<broken"}
+	_, dtdErr := InferDTD(readers(broken), IDTD, nil)
+	if out, err := InferXSD(readers(broken), IDTD, nil); err == nil {
+		t.Errorf("malformed document must fail for XSD too, got:\n%s", out)
+	} else if dtdErr == nil || err.Error() != dtdErr.Error() {
+		t.Errorf("XSD error %q, DTD error %v: want the same text", err, dtdErr)
 	}
 }
 
@@ -240,7 +249,58 @@ func TestInferDTDWithReportPublicAPI(t *testing.T) {
 		t.Errorf("error index = %d, want 1", report.Errors[0].Index)
 	}
 	if stats == nil || len(stats.PerElement) == 0 {
-		t.Error("missing inference timings")
+		t.Fatal("missing inference timings")
+	}
+	// A cold pass over a fresh extraction: every children-content
+	// element is exactly one cache miss.
+	children := 0
+	for _, e := range d.Elements {
+		if e.Model != nil {
+			children++
+		}
+	}
+	if stats.CacheMisses != children || stats.CacheHits != 0 || stats.CacheRecomputes != 0 {
+		t.Errorf("cold pass counters: %d hits %d misses %d recomputes, want 0/%d/0",
+			stats.CacheHits, stats.CacheMisses, stats.CacheRecomputes, children)
+	}
+	if !strings.Contains(stats.String(), fmt.Sprintf("cache: 0 hits, %d misses, 0 recomputes", children)) {
+		t.Errorf("stats miss the cache line:\n%s", stats)
+	}
+}
+
+// TestInferDTDFromExtractionConcurrent runs concurrent inference calls on
+// one extraction under the race detector: a pass writes the extraction's
+// caches and dirty bits, so calls must be serialized, and every caller
+// must get the same DTD.
+func TestInferDTDFromExtractionConcurrent(t *testing.T) {
+	x := NewExtraction()
+	for _, doc := range quickDocs {
+		if err := x.AddDocument(strings.NewReader(doc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dtds := make([]*DTD, 8)
+	var wg sync.WaitGroup
+	for i := range dtds {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			d, err := InferDTDFromExtraction(x, IDTD, nil)
+			if err != nil {
+				t.Errorf("concurrent InferDTDFromExtraction: %v", err)
+				return
+			}
+			dtds[i] = d
+		}(i)
+	}
+	wg.Wait()
+	for i, d := range dtds {
+		if d == nil || dtds[0] == nil {
+			t.Fatal("missing result")
+		}
+		if !d.Equal(dtds[0]) {
+			t.Errorf("caller %d got a different DTD:\n%s\nvs\n%s", i, d, dtds[0])
+		}
 	}
 }
 

@@ -3,9 +3,14 @@
 // derives concise deterministic regular expressions — SOREs via iDTD,
 // CHAREs via CRX — or runs one of the baselines (XTRACT, the Trang-like
 // pipeline, classical state elimination) for comparison, and assembles
-// complete DTDs or XML Schemas. Every engine is a registered Learner
-// consuming the counted, interned sample representation; names, parsing
-// and CLI usage text all derive from the registry.
+// complete DTDs. Every engine is a registered Learner consuming the
+// counted, interned sample representation; names, parsing and CLI usage
+// text all derive from the registry.
+//
+// Each operation has one verb: Ingest turns documents into an
+// extraction, InferDTDFromExtractionContext infers an extraction's DTD
+// (memoized per element, so a fresh extraction is simply a cold pass),
+// and InferSampleExpr runs one engine on one sample.
 package core
 
 import (
@@ -24,7 +29,6 @@ import (
 	"dtdinfer/internal/sample"
 	"dtdinfer/internal/stateelim"
 	"dtdinfer/internal/tranglike"
-	"dtdinfer/internal/xsd"
 	"dtdinfer/internal/xtract"
 )
 
@@ -242,15 +246,10 @@ func init() {
 // InferSampleExpr derives a content-model expression from a counted,
 // interned sample with the chosen algorithm. This is the engine hot path:
 // the registered learner consumes interned IDs directly, and the optional
-// numeric-predicate refinement scans unique sequences only.
-func InferSampleExpr(s *sample.Set, algo Algorithm, opts *Options) (*regex.Expr, error) {
-	return InferSampleExprContext(context.Background(), s, algo, opts)
-}
-
-// InferSampleExprContext is InferSampleExpr under a context. It runs the
+// numeric-predicate refinement scans unique sequences only. It runs the
 // single chosen engine — no degradation ladder — so experiment harnesses
 // measuring one algorithm observe that algorithm's own failures.
-func InferSampleExprContext(ctx context.Context, s *sample.Set, algo Algorithm, opts *Options) (*regex.Expr, error) {
+func InferSampleExpr(s *sample.Set, algo Algorithm, opts *Options) (*regex.Expr, error) {
 	var o Options
 	if opts != nil {
 		o = *opts
@@ -259,7 +258,7 @@ func InferSampleExprContext(ctx context.Context, s *sample.Set, algo Algorithm, 
 	if !ok {
 		return nil, fmt.Errorf("core: unknown algorithm %q (want %s)", algo, AlgorithmList())
 	}
-	e, err := l.Infer(ctx, s, &o)
+	e, err := l.Infer(context.Background(), s, &o)
 	if err != nil {
 		return nil, err
 	}
@@ -285,11 +284,14 @@ func Inferrer(algo Algorithm, opts *Options) dtd.InferFunc {
 	}
 }
 
-// ingestAll is the single ingestion pipeline behind every document-level
-// entry point: hardened, fault-isolated, sharded across workers according
-// to opts.Parallelism, and cancellable through the context. The report is
-// never nil.
-func ingestAll(ctx context.Context, docs []io.Reader, opts *Options,
+// Ingest is the single ingestion pipeline behind every document-level
+// entry point: documents are ingested into a fresh extraction under the
+// resource caps of ingest (nil = unlimited), fault-isolated per document
+// under the chosen policy, sharded across workers according to
+// opts.Parallelism, and cancellable through the context. Under
+// SkipAndRecord a malformed document is recorded in the report and
+// skipped rather than aborting the batch. The report is never nil.
+func Ingest(ctx context.Context, docs []io.Reader, opts *Options,
 	ingest *dtd.IngestOptions, policy dtd.ErrorPolicy) (*dtd.Extraction, *dtd.IngestReport, error) {
 	workers := 0
 	if opts != nil {
@@ -303,52 +305,6 @@ func ingestAll(ctx context.Context, docs []io.Reader, opts *Options,
 	return x, report, nil
 }
 
-// InferDTD extracts element sequences from the given XML documents and
-// infers a complete DTD. Ingestion runs through the same sharded,
-// fault-isolated pipeline as InferDTDReport (uncapped, fail-fast).
-func InferDTD(docs []io.Reader, algo Algorithm, opts *Options) (*dtd.DTD, error) {
-	return InferDTDContext(context.Background(), docs, algo, opts)
-}
-
-// InferDTDContext is InferDTD under a context: cancellation propagates
-// into the decode loops and every engine's hot loop, and opts.Budget /
-// opts.Degrade govern per-element budgets and the degradation ladder.
-func InferDTDContext(ctx context.Context, docs []io.Reader, algo Algorithm, opts *Options) (*dtd.DTD, error) {
-	x, _, err := ingestAll(ctx, docs, opts, nil, dtd.FailFast)
-	if err != nil {
-		return nil, err
-	}
-	d, _, err := x.InferDTDElements(ctx, ElementInferrer(algo, opts))
-	return d, err
-}
-
-// InferDTDReport is InferDTD with hardened ingestion: documents are
-// ingested under the resource caps of ingest (nil = unlimited) with
-// per-document fault isolation under the chosen policy, and the returned
-// IngestReport and InferStats carry the ingestion counters, per-document
-// errors, per-element inference timings and degradation outcomes. Under
-// SkipAndRecord a malformed document is recorded and skipped rather than
-// aborting the batch. The report is non-nil even on error; the stats are
-// non-nil whenever inference ran.
-func InferDTDReport(docs []io.Reader, algo Algorithm, opts *Options,
-	ingest *dtd.IngestOptions, policy dtd.ErrorPolicy) (*dtd.DTD, *dtd.IngestReport, *dtd.InferStats, error) {
-	return InferDTDReportContext(context.Background(), docs, algo, opts, ingest, policy)
-}
-
-// InferDTDReportContext is InferDTDReport under a context.
-func InferDTDReportContext(ctx context.Context, docs []io.Reader, algo Algorithm, opts *Options,
-	ingest *dtd.IngestOptions, policy dtd.ErrorPolicy) (*dtd.DTD, *dtd.IngestReport, *dtd.InferStats, error) {
-	x, report, err := ingestAll(ctx, docs, opts, ingest, policy)
-	if err != nil {
-		return nil, report, nil, err
-	}
-	d, stats, err := x.InferDTDElements(ctx, ElementInferrer(algo, opts))
-	if err != nil {
-		return nil, report, stats, err
-	}
-	return d, report, stats, nil
-}
-
 // InferDTDFromExtraction infers a DTD from already-extracted sequences.
 func InferDTDFromExtraction(x *dtd.Extraction, algo Algorithm, opts *Options) (*dtd.DTD, error) {
 	d, _, err := InferDTDFromExtractionContext(context.Background(), x, algo, opts)
@@ -356,40 +312,22 @@ func InferDTDFromExtraction(x *dtd.Extraction, algo Algorithm, opts *Options) (*
 }
 
 // InferDTDFromExtractionStats additionally reports per-element inference
-// timings and degradation outcomes from InferDTD's worker pool.
+// timings, degradation outcomes and cache counters.
 func InferDTDFromExtractionStats(x *dtd.Extraction, algo Algorithm, opts *Options) (*dtd.DTD, *dtd.InferStats, error) {
 	return InferDTDFromExtractionContext(context.Background(), x, algo, opts)
 }
 
-// InferDTDFromExtractionContext is InferDTDFromExtractionStats under a
-// context — the entry point the CLI and incremental workflows run on.
-// Inference is memoized per element on the extraction: repeated calls
-// with the same algorithm and options replay cached content models for
-// every element whose sample has not changed since the previous call
-// (validated by content fingerprint, so the result is byte-identical to
-// a cold run), and the returned InferStats carries the hit/miss/
-// recompute counters. A call with different algorithm or options keys
-// its own cache entries and never aliases another configuration's.
+// InferDTDFromExtractionContext is the one extraction-level inference
+// verb: cancellation propagates into every engine's hot loop, and
+// opts.Budget / opts.Degrade govern per-element budgets and the
+// degradation ladder. Inference is memoized per element on the
+// extraction: repeated calls with the same algorithm and options replay
+// cached content models for every element whose sample has not changed
+// since the previous call (validated by content fingerprint, so the
+// result is byte-identical to a cold run), and the returned InferStats
+// carries the hit/miss/recompute counters. A call with different
+// algorithm or options keys its own cache entries and never aliases
+// another configuration's. Calls on one extraction are serialized.
 func InferDTDFromExtractionContext(ctx context.Context, x *dtd.Extraction, algo Algorithm, opts *Options) (*dtd.DTD, *dtd.InferStats, error) {
-	return x.InferDTDElementsCached(ctx, cacheConfig(algo, opts), ElementInferrer(algo, opts))
-}
-
-// InferXSD infers a DTD from the documents and renders it as an XML Schema
-// with datatype detection over the sampled text values (Section 9).
-func InferXSD(docs []io.Reader, algo Algorithm, opts *Options) (string, error) {
-	return InferXSDContext(context.Background(), docs, algo, opts)
-}
-
-// InferXSDContext is InferXSD under a context, with the same cancellation
-// and budget semantics as InferDTDContext.
-func InferXSDContext(ctx context.Context, docs []io.Reader, algo Algorithm, opts *Options) (string, error) {
-	x, _, err := ingestAll(ctx, docs, opts, nil, dtd.FailFast)
-	if err != nil {
-		return "", err
-	}
-	d, _, err := x.InferDTDElements(ctx, ElementInferrer(algo, opts))
-	if err != nil {
-		return "", err
-	}
-	return xsd.Generate(d, x.TextSamples), nil
+	return x.InferDTD(ctx, cacheConfig(algo, opts), ElementInferrer(algo, opts))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"dtdinfer/internal/automata"
 	"dtdinfer/internal/dtd"
 	"dtdinfer/internal/regex"
+	"dtdinfer/internal/xsd"
 )
 
 func split(ws ...string) [][]string {
@@ -110,30 +112,41 @@ func TestUnknownAlgorithmError(t *testing.T) {
 	}
 }
 
+// inferDocs runs the document-level path through the two core verbs:
+// Ingest into a fresh extraction, then infer its DTD.
+func inferDocs(docs []io.Reader, algo Algorithm, ingest *dtd.IngestOptions, policy dtd.ErrorPolicy) (*dtd.Extraction, *dtd.DTD, *dtd.IngestReport, *dtd.InferStats, error) {
+	ctx := context.Background()
+	x, report, err := Ingest(ctx, docs, nil, ingest, policy)
+	if err != nil {
+		return nil, nil, report, nil, err
+	}
+	d, stats, err := InferDTDFromExtractionContext(ctx, x, algo, nil)
+	return x, d, report, stats, err
+}
+
 func TestInferDTDAndXSDFromDocuments(t *testing.T) {
 	docs := []io.Reader{
 		strings.NewReader(`<r><x>1</x><y/></r>`),
 		strings.NewReader(`<r><x>2</x><x>3</x></r>`),
 	}
-	d, err := InferDTD(docs, IDTD, nil)
+	_, d, _, _, err := inferDocs(docs, IDTD, nil, dtd.FailFast)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Elements["r"].Model.String(); got != "x+ y?" {
 		t.Errorf("model = %q", got)
 	}
-	out, err := InferXSD([]io.Reader{strings.NewReader(`<r><x>5</x></r>`)}, CRX, nil)
+	x, d, _, _, err := inferDocs([]io.Reader{strings.NewReader(`<r><x>5</x></r>`)}, CRX, nil, dtd.FailFast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, `type="xs:integer"`) {
+	if out := xsd.Generate(d, x.TextSamples); !strings.Contains(out, `type="xs:integer"`) {
 		t.Errorf("XSD datatype detection missing:\n%s", out)
 	}
-	if _, err := InferDTD([]io.Reader{strings.NewReader("<broken")}, IDTD, nil); err == nil {
+	if _, _, _, _, err := inferDocs([]io.Reader{strings.NewReader("<broken")}, IDTD, nil, dtd.FailFast); err == nil {
 		t.Error("malformed document must fail")
-	}
-	if _, err := InferXSD([]io.Reader{strings.NewReader("<broken")}, IDTD, nil); err == nil {
-		t.Error("malformed document must fail for XSD too")
+	} else if !strings.HasPrefix(err.Error(), "core: ") {
+		t.Errorf("ingestion error lost its prefix: %v", err)
 	}
 }
 
@@ -144,7 +157,7 @@ func TestInferDTDReportSkipPolicy(t *testing.T) {
 			strings.NewReader(`<r><x>2</x><x>3</x></r>`),
 		}
 	}
-	want, err := InferDTD(good(), IDTD, nil)
+	_, want, _, _, err := inferDocs(good(), IDTD, nil, dtd.FailFast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +166,7 @@ func TestInferDTDReportSkipPolicy(t *testing.T) {
 		strings.NewReader(`<r><x>bad</r>`),
 		strings.NewReader(`<r><x>2</x><x>3</x></r>`),
 	}
-	d, report, stats, err := InferDTDReport(docs, IDTD, nil, nil, dtd.SkipAndRecord)
+	_, d, report, stats, err := inferDocs(docs, IDTD, nil, dtd.SkipAndRecord)
 	if err != nil {
 		t.Fatalf("skip policy must not error: %v", err)
 	}
@@ -173,7 +186,7 @@ func TestInferDTDReportFailFast(t *testing.T) {
 		strings.NewReader(`<r><x>1</x></r>`),
 		strings.NewReader(`<broken`),
 	}
-	_, report, _, err := InferDTDReport(docs, IDTD, nil, nil, dtd.FailFast)
+	_, _, report, _, err := inferDocs(docs, IDTD, nil, dtd.FailFast)
 	if err == nil {
 		t.Fatal("fail-fast must surface the error")
 	}
@@ -184,8 +197,7 @@ func TestInferDTDReportFailFast(t *testing.T) {
 
 func TestInferDTDReportLimits(t *testing.T) {
 	deep := strings.Repeat("<d>", 1000) + strings.Repeat("</d>", 1000)
-	_, report, _, err := InferDTDReport(
-		[]io.Reader{strings.NewReader(deep)}, IDTD, nil,
+	_, _, report, _, err := inferDocs([]io.Reader{strings.NewReader(deep)}, IDTD,
 		&dtd.IngestOptions{MaxDepth: 10}, dtd.FailFast)
 	if err == nil {
 		t.Fatal("depth cap must reject the document")

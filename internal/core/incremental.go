@@ -25,14 +25,14 @@ import (
 // option structs with %+v keeps the key exhaustive by construction —
 // a new option field changes the key format rather than silently
 // aliasing two configurations.
-func cacheConfig(algo Algorithm, opts *Options) *dtd.CacheConfig {
+func cacheConfig(algo Algorithm, opts *Options) dtd.CacheConfig {
 	var o Options
 	if opts != nil {
 		o = *opts
 	}
 	key := fmt.Sprintf("%s|idtd:%+v|xtract:%+v|numeric:%t|budget:%+v|degrade:%d",
 		algo, o.IDTD, o.XTRACT, o.NumericPredicates, o.Budget, o.Degrade)
-	return &dtd.CacheConfig{Key: key, Counted: countSensitive(algo, &o)}
+	return dtd.CacheConfig{Key: key, Counted: countSensitive(algo, &o)}
 }
 
 // countSensitive reports whether the configured engine's output can
@@ -138,7 +138,7 @@ func (inc *Incremental) AddDocs(ctx context.Context, docs []dtd.Doc, ingest *dtd
 func (inc *Incremental) Refresh(ctx context.Context) (*Snapshot, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	d, stats, err := inc.x.InferDTDElementsCached(ctx, cacheConfig(inc.algo, &inc.opts), ElementInferrer(inc.algo, &inc.opts))
+	d, stats, err := InferDTDFromExtractionContext(ctx, inc.x, inc.algo, &inc.opts)
 	if err != nil {
 		return nil, err
 	}

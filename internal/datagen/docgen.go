@@ -85,10 +85,11 @@ func (g *DocGenerator) element(b *strings.Builder, name string, depth int) {
 	fmt.Fprintf(b, "</%s>", name)
 }
 
-func xmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+// xmlEscaper is built once: a strings.Replacer's setup costs far more
+// than escaping one short text value.
+var xmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+
+func xmlEscape(s string) string { return xmlEscaper.Replace(s) }
 
 // minimalString returns a shortest derivation of e, used to terminate
 // recursive content models at the depth bound.

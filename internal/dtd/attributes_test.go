@@ -30,7 +30,7 @@ func inferAttrs(t *testing.T) *DTD {
 			t.Fatal(err)
 		}
 	}
-	d, err := x.InferDTD(func(sample [][]string) (*regex.Expr, error) {
+	d, _, err := inferStrings(x, func(sample [][]string) (*regex.Expr, error) {
 		return gfa.Rewrite(soa.Infer(sample))
 	})
 	if err != nil {

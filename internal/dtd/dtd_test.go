@@ -114,7 +114,7 @@ func TestInferDTDFullPipeline(t *testing.T) {
 	if err := x.AddDocument(strings.NewReader(sampleDoc)); err != nil {
 		t.Fatal(err)
 	}
-	d, err := x.InferDTD(func(sample [][]string) (*regex.Expr, error) {
+	d, _, err := inferStrings(x, func(sample [][]string) (*regex.Expr, error) {
 		return gfa.Rewrite(soa.Infer(sample))
 	})
 	if err != nil {
@@ -285,7 +285,7 @@ func TestExtractionUnicodeNamesAndText(t *testing.T) {
 	if !x.HasText["項目"] {
 		t.Error("unicode text lost")
 	}
-	d, err := x.InferDTD(func(sample [][]string) (*regex.Expr, error) {
+	d, _, err := inferStrings(x, func(sample [][]string) (*regex.Expr, error) {
 		return gfa.Rewrite(soa.Infer(sample))
 	})
 	if err != nil {

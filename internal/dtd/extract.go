@@ -2,9 +2,9 @@ package dtd
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"time"
 
 	"dtdinfer/internal/regex"
@@ -42,7 +42,7 @@ type Extraction struct {
 	Documents int
 
 	// dirty marks elements whose structural observations changed since the
-	// last cached inference pass: a new distinct children shape (shape
+	// last inference pass: a new distinct children shape (shape
 	// fingerprint moved), a text flag flip, or an attribute-statistics
 	// shape change (new attribute, new distinct value, overflow). Pure
 	// multiplicity bumps of already-seen shapes and attribute presence
@@ -51,11 +51,11 @@ type Extraction struct {
 	// observational (stats, DirtyElements); cache *correctness* rests on
 	// per-element fingerprints, which count-sensitive engine configs
 	// compare in counted form. Lazily allocated; cleared by a successful
-	// cached inference.
+	// inference pass.
 	dirty map[string]bool
 	// cache memoizes inferred content models per (element, engine config,
-	// fingerprint); see InferDTDElementsCached. Lazily allocated.
-	cache *modelCache
+	// fingerprint); see InferDTD. Lazily allocated.
+	cache map[modelKey]*modelCacheEntry
 	// attFp holds each element's attribute-statistics fingerprint, the
 	// incremental mirror of attStatsFingerprint over its attributes;
 	// attCache memoizes the last complete <!ATTLIST> pass under the
@@ -63,6 +63,12 @@ type Extraction struct {
 	// lazily allocated.
 	attFp    map[string]uint64
 	attCache *attListCache
+	// inferMu serializes inference passes: a pass writes the caches and
+	// clears the dirty bits, so concurrent InferDTD calls on one
+	// extraction take turns. It sits behind a pointer so that copying an
+	// Extraction value (the pipeline adopts a staging extraction
+	// wholesale) neither copies a lock nor passes it along.
+	inferMu *sync.Mutex
 }
 
 const maxTextSamples = 100
@@ -89,6 +95,7 @@ func NewExtraction() *Extraction {
 		TextOverflow: map[string]bool{},
 		Attributes:   map[string]map[string]*attStats{},
 		Roots:        map[string]int{},
+		inferMu:      &sync.Mutex{},
 	}
 }
 
@@ -114,7 +121,7 @@ type docStats struct {
 const cancelCheckInterval = 256
 
 // markDirty records that an element's structural observations changed
-// since the last cached inference pass.
+// since the last inference pass.
 func (x *Extraction) markDirty(name string) {
 	if x.dirty == nil {
 		x.dirty = map[string]bool{}
@@ -123,7 +130,7 @@ func (x *Extraction) markDirty(name string) {
 }
 
 // DirtyElements returns, sorted, the elements whose structural
-// observations changed since the last successful cached inference pass
+// observations changed since the last successful inference pass
 // (or since the extraction was created). See the dirty field for what
 // counts as a change.
 func (x *Extraction) DirtyElements() []string {
@@ -204,49 +211,10 @@ func (x *Extraction) Root() string {
 }
 
 // InferFunc turns a sample of strings into a content expression. It is the
-// compatibility shape for inferrers that want verbatim strings; the engine
-// hot path is InferSampleFunc.
+// shape for consumers that assemble verbatim string samples themselves
+// (k-local contextual schemas); extraction-level inference takes an
+// InferElementFunc over the counted sample.
 type InferFunc = func(sample [][]string) (*regex.Expr, error)
-
-// InferSampleFunc turns a counted, interned sample into a content
-// expression. This is the shape every registered engine consumes — string
-// conversion happens only at the corpus edge.
-type InferSampleFunc = func(s *sample.Set) (*regex.Expr, error)
-
-// adaptInfer lifts a string-sample inferrer to the counted shape by
-// expanding the multiset (duplicates appear with their multiplicities).
-func adaptInfer(infer InferFunc) InferSampleFunc {
-	return func(s *sample.Set) (*regex.Expr, error) { return infer(s.Strings()) }
-}
-
-// InferDTD builds a DTD from the accumulated sequences, applying the given
-// content-model inferrer to every element observed with child elements.
-// Elements seen with only text become (#PCDATA), with both text and
-// children mixed content, and with neither EMPTY. Content models of
-// different elements are independent and are inferred concurrently; the
-// result is deterministic regardless of scheduling.
-func (x *Extraction) InferDTD(infer InferFunc) (*DTD, error) {
-	d, _, err := x.InferDTDStats(infer)
-	return d, err
-}
-
-// InferDTDStats is InferDTD, additionally reporting per-element inference
-// timings from the worker pool (the stats are valid even when inference
-// of some element fails).
-func (x *Extraction) InferDTDStats(infer InferFunc) (*DTD, *InferStats, error) {
-	return x.InferDTDSampleStats(adaptInfer(infer))
-}
-
-// InferDTDSampleStats is InferDTDElements without a context or outcome
-// reporting: the inferrer is lifted to the element shape with a nil
-// outcome, preserving the historical single-engine behaviour.
-func (x *Extraction) InferDTDSampleStats(infer InferSampleFunc) (*DTD, *InferStats, error) {
-	return x.InferDTDElements(context.Background(),
-		func(ctx context.Context, name string, s *sample.Set) (*regex.Expr, *ElementOutcome, error) {
-			e, err := infer(s)
-			return e, nil, err
-		})
-}
 
 // ElementOutcome records how one element's content model was obtained:
 // which engine produced the accepted expression, whether (and from which
@@ -279,41 +247,3 @@ type ElementOutcome struct {
 // has nothing to record — e.g. a plain single-engine inferrer). The
 // context carries cancellation and resource budgets downward.
 type InferElementFunc = func(ctx context.Context, name string, s *sample.Set) (*regex.Expr, *ElementOutcome, error)
-
-// InferDTDElements is the inference engine behind every InferDTD variant:
-// a bounded worker pool infers one content model per element from its
-// counted sample, deterministically regardless of scheduling. The context
-// cancels the pool cooperatively — workers stop picking up elements and
-// the first error returned is ctx.Err() — and is passed to every element
-// inferrer, which layers per-element deadlines and budgets on top of it.
-// Outcomes reported by the inferrer are collected into the stats in
-// element order. No result memoization happens at this entry point; see
-// InferDTDElementsCached.
-func (x *Extraction) InferDTDElements(ctx context.Context, infer InferElementFunc) (*DTD, *InferStats, error) {
-	return x.InferDTDElementsCached(ctx, nil, infer)
-}
-
-// inferElementOutcome derives one element's declaration. The inferrer is
-// consulted only for children content; text-only, empty and mixed
-// declarations are structural and never degrade (and are never cached —
-// they cost map lookups, not engine runs).
-func (x *Extraction) inferElementOutcome(ctx context.Context, name string, cfg *CacheConfig, cnt *cacheCounters, infer InferElementFunc) (*Element, *ElementOutcome, error) {
-	seqs := x.Sequences[name]
-	hasChildren := seqs.NumSymbols() > 0
-	switch {
-	case !hasChildren && x.HasText[name]:
-		return &Element{Name: name, Type: PCData}, nil, nil
-	case !hasChildren:
-		return &Element{Name: name, Type: Empty}, nil, nil
-	case x.HasText[name]:
-		return &Element{Name: name, Type: Mixed, MixedNames: seqs.Symbols()}, nil, nil
-	case cfg != nil:
-		return x.inferChildrenCached(ctx, name, seqs, cfg, cnt, infer)
-	default:
-		model, outcome, err := infer(ctx, name, seqs)
-		if err != nil {
-			return nil, outcome, fmt.Errorf("dtd: inferring content model of %s: %w", name, err)
-		}
-		return &Element{Name: name, Type: Children, Model: model}, outcome, nil
-	}
-}

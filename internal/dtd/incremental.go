@@ -6,14 +6,12 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dtdinfer/internal/regex"
-	"dtdinfer/internal/sample"
 )
 
-// Incremental inference: repeated InferDTD* passes over a growing
+// Incremental inference: repeated InferDTD passes over a growing
 // extraction skip the engines for every element whose sample has not
 // changed. Eligibility is decided per element by comparing the sample's
 // content fingerprint (see sample.Multiset) against the fingerprint the
@@ -21,7 +19,8 @@ import (
 // ingestion paths are the cheap observability layer on top (how many
 // elements changed since the last pass), not the correctness mechanism.
 // Cached models are returned pointer-identical, so a warm pass renders
-// byte-identically to the cold pass that populated the cache.
+// byte-identically to the cold pass that populated the cache — and a
+// pass over a fresh extraction is simply a cold pass.
 
 // CacheConfig identifies one engine configuration for the model cache.
 // Two inference passes share cached models only when their Keys are
@@ -52,54 +51,38 @@ type modelCacheEntry struct {
 	outcome *ElementOutcome
 }
 
-// modelCache memoizes content models across inference passes on one
-// extraction. Guarded by a mutex: the inference pool's workers look up
-// and store entries concurrently.
-type modelCache struct {
-	mu      sync.Mutex
-	entries map[modelKey]*modelCacheEntry
-}
-
-func (c *modelCache) get(k modelKey) (*modelCacheEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[k]
-	return e, ok
-}
-
-func (c *modelCache) put(k modelKey, e *modelCacheEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries[k] = e
-}
-
 // InvalidateCache drops every memoized content model, forcing the next
-// cached inference pass to run cold. Benchmarks use it to measure cold
-// passes on a warm extraction; library callers normally never need it —
+// inference pass to run cold. Benchmarks use it to measure cold passes
+// on a warm extraction; library callers normally never need it —
 // fingerprint validation already invalidates per element.
 func (x *Extraction) InvalidateCache() { x.cache = nil }
 
-// cacheCounters tallies one inference pass's cache traffic.
-type cacheCounters struct {
-	hits       atomic.Int64
-	misses     atomic.Int64
-	recomputes atomic.Int64
-}
-
-// InferDTDElementsCached is InferDTDElements with per-element result
-// memoization. With a nil cfg it behaves exactly like the uncached
-// entry point. With a config, each element with children content is
-// looked up in the extraction's model cache under (element, cfg.Key):
-// a hit whose stored fingerprint matches the sample's current one
-// returns the cached model without entering the engine or the
-// degradation ladder; a mismatch recomputes and overwrites; an absent
-// entry computes and fills. Structural declarations (EMPTY, #PCDATA,
-// mixed) and <!ATTLIST> inference are recomputed every pass — they are
-// map traffic, not engine work. On a fully successful pass the dirty
-// bits are cleared; a failed or cancelled pass leaves them (and the
-// cache entries already stored) intact, so the next pass resumes
-// incrementally.
-func (x *Extraction) InferDTDElementsCached(ctx context.Context, cfg *CacheConfig, infer InferElementFunc) (*DTD, *InferStats, error) {
+// InferDTD builds a DTD from the accumulated sequences. Elements seen
+// with only text become (#PCDATA), with both text and children mixed
+// content, and with neither EMPTY; every element with children content
+// gets its model from infer, memoized per element in the extraction's
+// model cache under (element, cfg.Key). A cache entry whose stored
+// fingerprint matches the sample's current one is replayed without
+// entering the engine or the degradation ladder; a mismatch recomputes
+// and overwrites; an absent entry computes and fills. Everything else is
+// served inline, and only the elements that must run an engine go to a
+// bounded worker pool: a warm pass over an unchanged corpus spawns no
+// goroutines at all, and the result is deterministic regardless of
+// scheduling. <!ATTLIST> inference replays likewise under the global
+// attribute fingerprint.
+//
+// The context cancels the pool cooperatively — workers stop picking up
+// elements and the error returned is ctx.Err() — and is passed to every
+// element inferrer, which layers per-element deadlines and budgets on
+// top of it. The stats are non-nil whenever elements were observed,
+// even on error. On a fully successful pass the dirty bits are cleared;
+// a failed or cancelled pass leaves them (and the models it did compute)
+// in place, so the next pass resumes incrementally. Passes on one
+// extraction are serialized; ingestion must not run concurrently with
+// one.
+func (x *Extraction) InferDTD(ctx context.Context, cfg CacheConfig, infer InferElementFunc) (*DTD, *InferStats, error) {
+	x.inferMu.Lock()
+	defer x.inferMu.Unlock()
 	start := time.Now()
 	names := make([]string, 0, len(x.Sequences))
 	for n := range x.Sequences {
@@ -109,33 +92,21 @@ func (x *Extraction) InferDTDElementsCached(ctx context.Context, cfg *CacheConfi
 	if len(names) == 0 {
 		return nil, nil, fmt.Errorf("dtd: no elements observed")
 	}
-	var cnt cacheCounters
-	if cfg != nil && x.cache == nil {
-		// Allocated single-threaded, before the pool: workers only ever
-		// see a fully constructed cache.
-		x.cache = &modelCache{entries: map[modelKey]*modelCacheEntry{}}
+	if x.cache == nil {
+		x.cache = map[modelKey]*modelCacheEntry{}
 	}
-	dirty := len(x.dirty)
+	stats := &InferStats{Dirty: len(x.dirty)}
 	elements := make([]*Element, len(names))
 	outcomes := make([]*ElementOutcome, len(names))
 	errs := make([]error, len(names))
+	fps := make([]uint64, len(names))
 	timings := make([]ElementTiming, len(names))
-	// Under a cache config, everything that needs no engine work —
-	// structural declarations and fingerprint-valid cache hits — is
-	// served inline first; only elements that must actually run an
-	// engine reach the worker pool. A warm pass over an unchanged corpus
-	// therefore resolves every element right here and spawns no
-	// goroutines at all: the pool's fan-out costs more than the lookups
-	// it would perform.
 	pending := make([]int, 0, len(names))
 	for i, name := range names {
-		if cfg == nil {
-			pending = append(pending, i)
-			continue
-		}
 		t0 := time.Now()
-		elem, outcome, served := x.serveCached(name, cfg, &cnt)
+		elem, outcome, fp, served := x.serveCached(name, cfg, stats)
 		if !served {
+			fps[i] = fp
 			pending = append(pending, i)
 			continue
 		}
@@ -158,23 +129,29 @@ func (x *Extraction) InferDTDElementsCached(ctx context.Context, cfg *CacheConfi
 			defer wg.Done()
 			defer func() { <-sem }()
 			t0 := time.Now()
-			elements[i], outcomes[i], errs[i] = x.inferElementOutcome(ctx, name, cfg, &cnt, infer)
-			timings[i] = ElementTiming{
-				Name:      name,
-				Sequences: x.Sequences[name].Total(),
-				Duration:  time.Since(t0),
+			seqs := x.Sequences[name]
+			model, outcome, err := infer(ctx, name, seqs)
+			outcomes[i] = outcome
+			if err != nil {
+				errs[i] = fmt.Errorf("dtd: inferring content model of %s: %w", name, err)
+			} else {
+				elements[i] = &Element{Name: name, Type: Children, Model: model}
 			}
+			timings[i] = ElementTiming{Name: name, Sequences: seqs.Total(), Duration: time.Since(t0)}
 		}(i, names[i])
 	}
 	wg.Wait()
-	stats := &InferStats{Wall: time.Since(start), PerElement: timings}
-	if cfg != nil {
-		stats.Cached = true
-		stats.CacheHits = int(cnt.hits.Load())
-		stats.CacheMisses = int(cnt.misses.Load())
-		stats.CacheRecomputes = int(cnt.recomputes.Load())
-		stats.Dirty = dirty
+	// Store every model this pass computed, even when the pass as a whole
+	// fails: the fingerprint was read before the engine ran and samples
+	// are not mutated during inference, so each entry describes exactly
+	// the content its model came from.
+	for _, i := range pending {
+		if e := elements[i]; e != nil {
+			x.cache[modelKey{name: names[i], config: cfg.Key}] = &modelCacheEntry{fp: fps[i], model: e.Model, outcome: outcomes[i]}
+		}
 	}
+	stats.Wall = time.Since(start)
+	stats.PerElement = timings
 	for _, o := range outcomes {
 		if o != nil {
 			stats.Outcomes = append(stats.Outcomes, *o)
@@ -190,83 +167,49 @@ func (x *Extraction) InferDTDElementsCached(ctx context.Context, cfg *CacheConfi
 		}
 		d.Declare(e)
 	}
-	if cfg != nil {
-		stats.AttListReplayed = x.inferAttributesCached(d)
-		clear(x.dirty)
-	} else {
-		x.inferAttributes(d)
-	}
+	stats.AttListReplayed = x.inferAttributesCached(d)
+	clear(x.dirty)
 	return d, stats, nil
 }
 
 // serveCached resolves one element without engine work when possible:
 // structural declarations (EMPTY, #PCDATA, mixed — table lookups, never
-// engines) and children-content elements whose cached model's stored
-// fingerprint still matches the sample's. served=false means the element
-// needs an engine run (absent or stale cache entry); the caller
-// dispatches those to the worker pool, where inferChildrenCached counts
-// the miss or recompute.
-func (x *Extraction) serveCached(name string, cfg *CacheConfig, cnt *cacheCounters) (elem *Element, outcome *ElementOutcome, served bool) {
+// engines, never cached) and children-content elements whose cached
+// model's stored fingerprint still matches the sample's. Every
+// children-content element counts as exactly one hit, miss or
+// recompute. served=false means the element needs an engine run under
+// the returned fingerprint.
+func (x *Extraction) serveCached(name string, cfg CacheConfig, stats *InferStats) (elem *Element, outcome *ElementOutcome, fp uint64, served bool) {
 	seqs := x.Sequences[name]
 	hasChildren := seqs.NumSymbols() > 0
 	switch {
 	case !hasChildren && x.HasText[name]:
-		return &Element{Name: name, Type: PCData}, nil, true
+		return &Element{Name: name, Type: PCData}, nil, 0, true
 	case !hasChildren:
-		return &Element{Name: name, Type: Empty}, nil, true
+		return &Element{Name: name, Type: Empty}, nil, 0, true
 	case x.HasText[name]:
-		return &Element{Name: name, Type: Mixed, MixedNames: seqs.Symbols()}, nil, true
+		return &Element{Name: name, Type: Mixed, MixedNames: seqs.Symbols()}, nil, 0, true
 	}
-	fp := seqs.ShapeFingerprint()
+	fp = seqs.ShapeFingerprint()
 	if cfg.Counted {
 		fp = seqs.CountedFingerprint()
 	}
 	t0 := time.Now()
-	ent, ok := x.cache.get(modelKey{name: name, config: cfg.Key})
-	if !ok || ent.fp != fp {
-		return nil, nil, false
+	ent, ok := x.cache[modelKey{name: name, config: cfg.Key}]
+	switch {
+	case !ok:
+		stats.CacheMisses++
+		return nil, nil, fp, false
+	case ent.fp != fp:
+		stats.CacheRecomputes++
+		return nil, nil, fp, false
 	}
-	cnt.hits.Add(1)
+	stats.CacheHits++
 	if ent.outcome != nil {
 		oc := *ent.outcome
 		oc.FromCache = true
 		oc.Elapsed = time.Since(t0)
 		outcome = &oc
 	}
-	return &Element{Name: name, Type: Children, Model: ent.model}, outcome, true
-}
-
-// inferChildrenCached resolves one children-content element through the
-// model cache. The fingerprint is read before the engine runs; sample
-// sets are not mutated during inference, so the stored fingerprint is
-// exactly the content the model was computed from.
-func (x *Extraction) inferChildrenCached(ctx context.Context, name string, seqs *sample.Set, cfg *CacheConfig, cnt *cacheCounters, infer InferElementFunc) (*Element, *ElementOutcome, error) {
-	fp := seqs.ShapeFingerprint()
-	if cfg.Counted {
-		fp = seqs.CountedFingerprint()
-	}
-	key := modelKey{name: name, config: cfg.Key}
-	t0 := time.Now()
-	if ent, ok := x.cache.get(key); ok {
-		if ent.fp == fp {
-			cnt.hits.Add(1)
-			var outcome *ElementOutcome
-			if ent.outcome != nil {
-				oc := *ent.outcome
-				oc.FromCache = true
-				oc.Elapsed = time.Since(t0)
-				outcome = &oc
-			}
-			return &Element{Name: name, Type: Children, Model: ent.model}, outcome, nil
-		}
-		cnt.recomputes.Add(1)
-	} else {
-		cnt.misses.Add(1)
-	}
-	model, outcome, err := infer(ctx, name, seqs)
-	if err != nil {
-		return nil, outcome, fmt.Errorf("dtd: inferring content model of %s: %w", name, err)
-	}
-	x.cache.put(key, &modelCacheEntry{fp: fp, model: model, outcome: outcome})
-	return &Element{Name: name, Type: Children, Model: model}, outcome, nil
+	return &Element{Name: name, Type: Children, Model: ent.model}, outcome, fp, true
 }

@@ -29,6 +29,22 @@ func countingInferrer(calls *atomic.Int64) InferElementFunc {
 	}
 }
 
+// assertTally checks that a pass classified every children-content
+// element exactly once as a cache hit, miss or recompute.
+func assertTally(t *testing.T, pass string, x *Extraction, s *InferStats) {
+	t.Helper()
+	children := 0
+	for name, seqs := range x.Sequences {
+		if seqs.NumSymbols() > 0 && !x.HasText[name] {
+			children++
+		}
+	}
+	if got := s.CacheHits + s.CacheMisses + s.CacheRecomputes; got != children {
+		t.Errorf("%s: %d hits + %d misses + %d recomputes = %d, want %d children-content elements",
+			pass, s.CacheHits, s.CacheMisses, s.CacheRecomputes, got, children)
+	}
+}
+
 func mustAdd(t *testing.T, x *Extraction, doc string) {
 	t.Helper()
 	if err := x.AddDocument(strings.NewReader(doc)); err != nil {
@@ -44,11 +60,11 @@ func mustAdd(t *testing.T, x *Extraction, doc string) {
 func TestCachedInferenceHitsAndRecomputes(t *testing.T) {
 	x := NewExtraction()
 	mustAdd(t, x, `<r><a><c/></a><b><c/></b></r>`)
-	cfg := &CacheConfig{Key: "test"}
+	cfg := CacheConfig{Key: "test"}
 	var calls atomic.Int64
 
 	// Children-content elements: r, a, b (c is EMPTY, structural).
-	d1, s1, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls))
+	d1, s1, err := x.InferDTD(context.Background(), cfg, countingInferrer(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +75,13 @@ func TestCachedInferenceHitsAndRecomputes(t *testing.T) {
 		t.Errorf("cold pass counters: %d hits %d misses %d recomputes, want 0/3/0",
 			s1.CacheHits, s1.CacheMisses, s1.CacheRecomputes)
 	}
+	assertTally(t, "cold pass", x, s1)
 	if s1.Dirty != 4 {
 		t.Errorf("cold pass dirty=%d, want 4 (every observed element)", s1.Dirty)
 	}
 
 	calls.Store(0)
-	d2, s2, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls))
+	d2, s2, err := x.InferDTD(context.Background(), cfg, countingInferrer(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +92,7 @@ func TestCachedInferenceHitsAndRecomputes(t *testing.T) {
 		t.Errorf("warm pass counters: %d hits %d misses %d recomputes, want 3/0/0",
 			s2.CacheHits, s2.CacheMisses, s2.CacheRecomputes)
 	}
+	assertTally(t, "warm pass", x, s2)
 	if s2.Dirty != 0 {
 		t.Errorf("warm pass dirty=%d, want 0", s2.Dirty)
 	}
@@ -88,7 +106,7 @@ func TestCachedInferenceHitsAndRecomputes(t *testing.T) {
 		t.Errorf("dirty after update = %v, want [a]", got)
 	}
 	calls.Store(0)
-	_, s3, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls))
+	_, s3, err := x.InferDTD(context.Background(), cfg, countingInferrer(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +117,7 @@ func TestCachedInferenceHitsAndRecomputes(t *testing.T) {
 		t.Errorf("update pass counters: %d hits %d misses %d recomputes, want 2/0/1",
 			s3.CacheHits, s3.CacheMisses, s3.CacheRecomputes)
 	}
+	assertTally(t, "update pass", x, s3)
 	if s3.Dirty != 1 {
 		t.Errorf("update pass dirty=%d, want 1", s3.Dirty)
 	}
@@ -121,16 +140,16 @@ func TestCachedInferenceCountedFingerprint(t *testing.T) {
 	} {
 		x := NewExtraction()
 		mustAdd(t, x, doc)
-		cfg := &CacheConfig{Key: fmt.Sprintf("counted=%t", tc.counted), Counted: tc.counted}
+		cfg := CacheConfig{Key: fmt.Sprintf("counted=%t", tc.counted), Counted: tc.counted}
 		var calls atomic.Int64
-		if _, _, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls)); err != nil {
+		if _, _, err := x.InferDTD(context.Background(), cfg, countingInferrer(&calls)); err != nil {
 			t.Fatal(err)
 		}
 		mustAdd(t, x, doc) // same shapes again: counts move, shapes don't
 		if got := len(x.DirtyElements()); got != 0 {
 			t.Errorf("counted=%t: multiplicity-only ingest marked %d elements dirty", tc.counted, got)
 		}
-		_, s, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls))
+		_, s, err := x.InferDTD(context.Background(), cfg, countingInferrer(&calls))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,10 +166,10 @@ func TestCachedInferenceConfigKeysIsolated(t *testing.T) {
 	x := NewExtraction()
 	mustAdd(t, x, `<r><a/></r>`)
 	var calls atomic.Int64
-	if _, _, err := x.InferDTDElementsCached(context.Background(), &CacheConfig{Key: "one"}, countingInferrer(&calls)); err != nil {
+	if _, _, err := x.InferDTD(context.Background(), CacheConfig{Key: "one"}, countingInferrer(&calls)); err != nil {
 		t.Fatal(err)
 	}
-	_, s, err := x.InferDTDElementsCached(context.Background(), &CacheConfig{Key: "two"}, countingInferrer(&calls))
+	_, s, err := x.InferDTD(context.Background(), CacheConfig{Key: "two"}, countingInferrer(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +183,7 @@ func TestCachedInferenceConfigKeysIsolated(t *testing.T) {
 func TestCachedInferenceFailedPassKeepsDirty(t *testing.T) {
 	x := NewExtraction()
 	mustAdd(t, x, `<r><a><b/></a></r>`)
-	cfg := &CacheConfig{Key: "test"}
+	cfg := CacheConfig{Key: "test"}
 	boom := errors.New("boom")
 	failing := func(ctx context.Context, name string, s *sample.Set) (*regex.Expr, *ElementOutcome, error) {
 		if name == "a" {
@@ -173,14 +192,14 @@ func TestCachedInferenceFailedPassKeepsDirty(t *testing.T) {
 		var calls atomic.Int64
 		return countingInferrer(&calls)(ctx, name, s)
 	}
-	if _, _, err := x.InferDTDElementsCached(context.Background(), cfg, failing); !errors.Is(err, boom) {
+	if _, _, err := x.InferDTD(context.Background(), cfg, failing); !errors.Is(err, boom) {
 		t.Fatalf("expected injected failure, got %v", err)
 	}
 	if got := x.DirtyElements(); len(got) == 0 {
 		t.Error("failed pass cleared the dirty bits")
 	}
 	var calls atomic.Int64
-	if _, _, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls)); err != nil {
+	if _, _, err := x.InferDTD(context.Background(), cfg, countingInferrer(&calls)); err != nil {
 		t.Fatal(err)
 	}
 	if got := x.DirtyElements(); len(got) != 0 {
@@ -193,19 +212,20 @@ func TestCachedInferenceFailedPassKeepsDirty(t *testing.T) {
 func TestCachedInferenceInvalidate(t *testing.T) {
 	x := NewExtraction()
 	mustAdd(t, x, `<r><a/></r>`)
-	cfg := &CacheConfig{Key: "test"}
+	cfg := CacheConfig{Key: "test"}
 	var calls atomic.Int64
-	if _, _, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls)); err != nil {
+	if _, _, err := x.InferDTD(context.Background(), cfg, countingInferrer(&calls)); err != nil {
 		t.Fatal(err)
 	}
 	x.InvalidateCache()
-	_, s, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls))
+	_, s, err := x.InferDTD(context.Background(), cfg, countingInferrer(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.CacheMisses != 1 || s.CacheHits != 0 {
 		t.Errorf("after invalidation: %d hits %d misses, want 0/1", s.CacheHits, s.CacheMisses)
 	}
+	assertTally(t, "invalidated pass", x, s)
 }
 
 // TestDirtyTrackingAcrossIngestionPaths: every ingestion path — std and
@@ -237,7 +257,7 @@ func TestDirtyTrackingAcrossIngestionPaths(t *testing.T) {
 				t.Errorf("%s: initial dirty = %v, want %v", name, got, want)
 			}
 			var calls atomic.Int64
-			if _, _, err := x.InferDTDElementsCached(context.Background(), &CacheConfig{Key: "t"}, countingInferrer(&calls)); err != nil {
+			if _, _, err := x.InferDTD(context.Background(), CacheConfig{Key: "t"}, countingInferrer(&calls)); err != nil {
 				t.Fatal(err)
 			}
 			ingest(base[0]) // already-seen shapes only
@@ -252,15 +272,16 @@ func TestDirtyTrackingAcrossIngestionPaths(t *testing.T) {
 	}
 }
 
-// TestInferStatsStringCacheLine: the stats renderer reports the cache
-// counters when a cache was consulted and stays quiet when not.
+// TestInferStatsStringCacheLine: every pass consults the model cache,
+// so the stats renderer always reports the cache counters — zero-valued
+// stats included.
 func TestInferStatsStringCacheLine(t *testing.T) {
-	withCache := &InferStats{Cached: true, CacheHits: 2, CacheMisses: 1, CacheRecomputes: 3, Dirty: 4}
+	withCache := &InferStats{CacheHits: 2, CacheMisses: 1, CacheRecomputes: 3, Dirty: 4}
 	s := withCache.String()
 	if !strings.Contains(s, "cache: 2 hits, 1 misses, 3 recomputes; 4 dirty elements") {
 		t.Errorf("cache line missing or malformed:\n%s", s)
 	}
-	if s := (&InferStats{}).String(); strings.Contains(s, "cache:") {
-		t.Errorf("uncached stats rendered a cache line:\n%s", s)
+	if s := (&InferStats{}).String(); !strings.Contains(s, "cache: 0 hits, 0 misses, 0 recomputes; 0 dirty elements; attlist recomputed") {
+		t.Errorf("zero stats rendered no zero cache line:\n%s", s)
 	}
 }

@@ -428,7 +428,8 @@ func (x *Extraction) mergeAttStats(elem, att string, o *attStats) {
 	}
 }
 
-// InferStats reports per-element timings from InferDTDStats' worker pool.
+// InferStats reports one inference pass: per-element timings, engine
+// outcomes and model-cache traffic.
 type InferStats struct {
 	// Wall is the wall-clock time of the whole inference.
 	Wall time.Duration
@@ -440,23 +441,22 @@ type InferStats struct {
 	// deterministic element order. Empty when the inferrer predates the
 	// outcome protocol or no element has children content.
 	Outcomes []ElementOutcome
-	// Cached reports whether this pass consulted a model cache (see
-	// InferDTDElementsCached); the counters below are meaningful only
-	// when it is set. Hits returned a memoized model without running an
-	// engine; misses had no cached entry; recomputes had an entry whose
-	// fingerprint no longer matched the sample.
-	Cached          bool
+	// The cache counters classify every children-content element of the
+	// pass exactly once (see Extraction.InferDTD): hits returned a
+	// memoized model without running an engine; misses had no cached
+	// entry; recomputes had an entry whose fingerprint no longer matched
+	// the sample.
 	CacheHits       int
 	CacheMisses     int
 	CacheRecomputes int
 	// Dirty counts the elements whose structural observations had
-	// changed since the previous cached pass, captured before this pass
-	// cleared the bits.
+	// changed since the previous pass, captured before this pass cleared
+	// the bits.
 	Dirty int
-	// AttListReplayed reports (for cached passes) whether <!ATTLIST>
-	// inference was replayed from the attribute-fingerprint cache
-	// instead of recomputed — true on a warm pass with no attribute-
-	// relevant changes since the previous one.
+	// AttListReplayed reports whether <!ATTLIST> inference was replayed
+	// from the attribute-fingerprint cache instead of recomputed — true
+	// on a warm pass with no attribute-relevant changes since the
+	// previous one.
 	AttListReplayed bool
 }
 
@@ -481,14 +481,12 @@ func (s *InferStats) String() string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "inferred %d elements in %v", len(order), s.Wall)
-	if s.Cached {
-		attlist := "recomputed"
-		if s.AttListReplayed {
-			attlist = "replayed"
-		}
-		fmt.Fprintf(&b, "\n  cache: %d hits, %d misses, %d recomputes; %d dirty elements; attlist %s",
-			s.CacheHits, s.CacheMisses, s.CacheRecomputes, s.Dirty, attlist)
+	attlist := "recomputed"
+	if s.AttListReplayed {
+		attlist = "replayed"
 	}
+	fmt.Fprintf(&b, "\n  cache: %d hits, %d misses, %d recomputes; %d dirty elements; attlist %s",
+		s.CacheHits, s.CacheMisses, s.CacheRecomputes, s.Dirty, attlist)
 	for _, t := range order {
 		fmt.Fprintf(&b, "\n  %-24s %8d seqs  %v", t.Name, t.Sequences, t.Duration)
 	}

@@ -8,10 +8,12 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dtdinfer/internal/gfa"
 	"dtdinfer/internal/regex"
+	"dtdinfer/internal/sample"
 	"dtdinfer/internal/soa"
 )
 
@@ -95,6 +97,22 @@ func snapshot(x *Extraction) string {
 
 func testInfer(sample [][]string) (*regex.Expr, error) {
 	return gfa.Rewrite(soa.Infer(sample))
+}
+
+// inferKeys numbers inferStrings calls.
+var inferKeys atomic.Int64
+
+// inferStrings runs one inference pass with a verbatim-string inferrer.
+// The model cache is keyed only by CacheConfig.Key, so every call takes
+// a fresh key: a later call with a different inferrer must not replay an
+// earlier one's models.
+func inferStrings(x *Extraction, infer InferFunc) (*DTD, *InferStats, error) {
+	cfg := CacheConfig{Key: fmt.Sprintf("strings-%d", inferKeys.Add(1))}
+	return x.InferDTD(context.Background(), cfg,
+		func(_ context.Context, _ string, s *sample.Set) (*regex.Expr, *ElementOutcome, error) {
+			e, err := infer(s.Strings())
+			return e, nil, err
+		})
 }
 
 const goodDoc1 = `<db><rec id="a1" kind="x"><name>n1</name></rec></db>`
@@ -230,7 +248,7 @@ func TestAddDocumentsSkipAndRecord(t *testing.T) {
 	if _, err := clean.AddDocsParallelContext(context.Background(), LabelDocs(readers(goodDoc1, goodDoc2)), 1, nil, FailFast); err != nil {
 		t.Fatal(err)
 	}
-	wantDTD, err := clean.InferDTD(testInfer)
+	wantDTD, _, err := inferStrings(clean, testInfer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +274,7 @@ func TestAddDocumentsSkipAndRecord(t *testing.T) {
 		t.Errorf("skip policy left different state than the clean batch:\n%s\nvs\n%s",
 			snapshot(x), snapshot(clean))
 	}
-	got, err := x.InferDTD(testInfer)
+	got, _, err := inferStrings(x, testInfer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +378,7 @@ func TestInferDTDStats(t *testing.T) {
 	if err := x.AddDocument(strings.NewReader(sampleDoc)); err != nil {
 		t.Fatal(err)
 	}
-	d, stats, err := x.InferDTDStats(testInfer)
+	d, stats, err := inferStrings(x, testInfer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,9 +400,10 @@ func TestInferDTDStats(t *testing.T) {
 	}
 }
 
-// TestInferDTDConcurrentReuse exercises the worker pool under the race
-// detector: concurrent inference over one shared (read-only) extraction
-// must be safe, since callers cache extractions across requests.
+// TestInferDTDConcurrentReuse runs concurrent inference passes over one
+// shared extraction under the race detector. A pass writes the model
+// cache, the <!ATTLIST> cache and the dirty bits, so passes on one
+// extraction are serialized; every caller must still get the same DTD.
 func TestInferDTDConcurrentReuse(t *testing.T) {
 	x := NewExtraction()
 	for _, d := range []string{goodDoc1, goodDoc2, sampleDoc} {
@@ -392,13 +411,17 @@ func TestInferDTDConcurrentReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	infer := func(_ context.Context, _ string, s *sample.Set) (*regex.Expr, *ElementOutcome, error) {
+		e, err := testInfer(s.Strings())
+		return e, nil, err
+	}
 	var wg sync.WaitGroup
 	dtds := make([]*DTD, 8)
 	for i := range dtds {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			d, err := x.InferDTD(testInfer)
+			d, _, err := x.InferDTD(context.Background(), CacheConfig{Key: "concurrent"}, infer)
 			if err != nil {
 				t.Errorf("concurrent InferDTD: %v", err)
 				return

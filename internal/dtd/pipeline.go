@@ -540,8 +540,11 @@ func (x *Extraction) runPipeline(ctx context.Context, docs []Doc, bounds []int, 
 		t0 := time.Now()
 		if x.isEmpty() {
 			// Fresh corpus: adopt the staging wholesale — byte-identical
-			// to having committed into x directly, and free.
+			// to having committed into x directly, and free. x keeps its
+			// own inference lock.
+			mu := x.inferMu
 			*x = *staging
+			x.inferMu = mu
 		} else {
 			x.Merge(staging)
 		}

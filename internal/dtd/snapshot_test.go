@@ -67,11 +67,11 @@ func TestSnapshotRoundTripIdentical(t *testing.T) {
 			if got := saveSnapshot(t, loaded); !bytes.Equal(got, data) {
 				t.Fatalf("re-save differs: %d bytes vs %d", len(got), len(data))
 			}
-			want, err := x.InferDTD(testInfer)
+			want, _, err := inferStrings(x, testInfer)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := loaded.InferDTD(testInfer)
+			got, _, err := inferStrings(loaded, testInfer)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,9 +114,9 @@ func TestSnapshotDirtyStatePersisted(t *testing.T) {
 		t.Fatalf("loaded dirty = %v, want %v", got, dirty)
 	}
 
-	cfg := &CacheConfig{Key: "test"}
+	cfg := CacheConfig{Key: "test"}
 	var calls atomic.Int64
-	if _, _, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls)); err != nil {
+	if _, _, err := x.InferDTD(context.Background(), cfg, countingInferrer(&calls)); err != nil {
 		t.Fatal(err)
 	}
 	clean := loadSnapshot(t, saveSnapshot(t, x))
@@ -131,9 +131,9 @@ func TestSnapshotDirtyStatePersisted(t *testing.T) {
 // extraction without running any engine.
 func TestSnapshotKeepsInferenceWarm(t *testing.T) {
 	x := buildSnapshotExtraction(t, DecoderFast)
-	cfg := &CacheConfig{Key: "test"}
+	cfg := CacheConfig{Key: "test"}
 	var calls atomic.Int64
-	want, _, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls))
+	want, _, err := x.InferDTD(context.Background(), cfg, countingInferrer(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSnapshotKeepsInferenceWarm(t *testing.T) {
 
 	loaded := loadSnapshot(t, saveSnapshot(t, x))
 	calls.Store(0)
-	got, stats, err := loaded.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls))
+	got, stats, err := loaded.InferDTD(context.Background(), cfg, countingInferrer(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestSnapshotKeepsInferenceWarm(t *testing.T) {
 	// A different engine config must not be served from the persisted
 	// entries of another.
 	calls.Store(0)
-	if _, _, err := loaded.InferDTDElementsCached(context.Background(), &CacheConfig{Key: "other"}, countingInferrer(&calls)); err != nil {
+	if _, _, err := loaded.InferDTD(context.Background(), CacheConfig{Key: "other"}, countingInferrer(&calls)); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() == 0 {
@@ -214,9 +214,9 @@ func TestMergeSummaryShardsEquivalentToSingleIngestion(t *testing.T) {
 // so inference over the merge runs no engines.
 func TestMergeSummaryAdoptsCaches(t *testing.T) {
 	x := buildSnapshotExtraction(t, DecoderFast)
-	cfg := &CacheConfig{Key: "test"}
+	cfg := CacheConfig{Key: "test"}
 	var calls atomic.Int64
-	want, _, err := x.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls))
+	want, _, err := x.InferDTD(context.Background(), cfg, countingInferrer(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestMergeSummaryAdoptsCaches(t *testing.T) {
 	base := NewExtraction()
 	base.MergeSummary(loaded)
 	calls.Store(0)
-	got, stats, err := base.InferDTDElementsCached(context.Background(), cfg, countingInferrer(&calls))
+	got, stats, err := base.InferDTD(context.Background(), cfg, countingInferrer(&calls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,14 +249,14 @@ func TestAttListCacheDirtyTracking(t *testing.T) {
 	mustAdd(t, x, `<db><rec id="a1" kind="x"/><plain/></db>`)
 	mustAdd(t, x, `<db><rec id="a2" kind="y"/></db>`)
 	mustAdd(t, x, `<db><rec id="a3" kind="x"/></db>`)
-	cfg := &CacheConfig{Key: "test"}
+	cfg := CacheConfig{Key: "test"}
 	var calls atomic.Int64
 	infer := countingInferrer(&calls)
 	ctx := context.Background()
 
 	pass := func() (*DTD, *InferStats) {
 		t.Helper()
-		d, stats, err := x.InferDTDElementsCached(ctx, cfg, infer)
+		d, stats, err := x.InferDTD(ctx, cfg, infer)
 		if err != nil {
 			t.Fatal(err)
 		}
