@@ -52,17 +52,20 @@ serve-smoke:
 	$(GO) test -race -run 'TestDaemon' -count=1 .
 	$(GO) test -race -count=1 ./internal/server
 
-# pipeline-smoke is the pipelined-ingestion gate: byte-identity between
-# the pipelined parallel path and sequential ingestion across worker
-# counts 1..8 and both token sources (the fast tokenizer and
-# encoding/xml, which feed the same stager and ship the same one kind of
-# stage unit to the committer), plus flush-unit splitting, FailFast
-# prefix semantics, commit-fault atomicity and mid-commit cancellation —
-# all under the race detector so the worker/committer handoff is checked
-# at real parallelism.
+# pipeline-smoke is the ingestion gate: every worker count == reference.
+# Every batch stages into the same units and folds them with the one
+# commit (commitShard), inline at one worker and through the pipelined
+# committer otherwise, so the gate holds the one-worker batch, tiny flush
+# units and the four-worker pipeline to the independent encoding/xml
+# reference loop, and keeps byte-identity across worker counts 1..8 and
+# both token sources (the fast tokenizer and encoding/xml, which feed the
+# same stager), plus flush-unit splitting, FailFast prefix semantics,
+# commit-fault atomicity and mid-commit cancellation — all under the race
+# detector so the worker/committer handoff is checked at real
+# parallelism.
 pipeline-smoke:
 	$(GO) test -race -cpu $(RACE_CPU) -count=1 \
-		-run 'TestPipeline|TestParallelExtractionIdenticalToSequential|TestParallelInternIDsIdenticalAcrossWorkerCounts|TestParallelIngestion' \
+		-run 'TestPipeline|TestEveryWorkerCountMatchesReference|TestParallelExtractionIdenticalToSequential|TestParallelInternIDsIdenticalAcrossWorkerCounts|TestParallelIngestion' \
 		./internal/dtd .
 
 # perfbench-check builds, vets and tests the benchmark harness. perfbench
@@ -90,7 +93,7 @@ check: fmt-check vet incremental-smoke snapshot-smoke serve-smoke pipeline-smoke
 # invisible. On a single-CPU machine, set GOMAXPROCS explicitly (e.g.
 # GOMAXPROCS=4) to record an oversubscribed run — the per-entry
 # gomaxprocs/cpus metrics keep it honest.
-BENCH_PATTERN = BenchmarkPerf|BenchmarkEndToEndDTD|BenchmarkIngestParallel|BenchmarkIngestDecoder|BenchmarkIngestDedup|BenchmarkIncrementalInfer|BenchmarkSnapshot
+BENCH_PATTERN = BenchmarkPerf|BenchmarkEndToEndDTD|BenchmarkIngestParallel|BenchmarkIngestOneDoc|BenchmarkIngestDecoder|BenchmarkIngestDedup|BenchmarkIncrementalInfer|BenchmarkSnapshot
 BENCH_COUNT ?= 3x
 BENCH_MB ?= 100
 BENCH_OUT ?= BENCH_PR10.json

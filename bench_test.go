@@ -237,6 +237,26 @@ func BenchmarkIngestParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkIngestOneDoc measures the daemon's per-request ingest: one
+// Protein document into a warm 300-document extraction through the batch
+// verb, which runs the one-worker batch inline. Each iteration ingests
+// the next document of a fixed pool of unseen ones, so the corpus stays
+// warm without growing new shapes on every call.
+func BenchmarkIngestOneDoc(b *testing.B) {
+	x := NewExtraction()
+	if _, err := x.AddDocsParallelContext(context.Background(), dtd.LabelDocs(corpus.Documents(corpus.Protein(1, 300))), 1, nil, dtd.FailFast); err != nil {
+		b.Fatal(err)
+	}
+	pool := corpus.Protein(2, 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		docs := []dtd.Doc{{Label: "doc", R: strings.NewReader(pool[i%len(pool)])}}
+		if _, err := x.AddDocsParallelContext(context.Background(), docs, 1, nil, dtd.SkipAndRecord); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkIngestDecoder contrasts the two XML decoder paths on the same
 // sequential ingestion workload: "fast" is the structure-only tokenizer
 // (the default), "std" the encoding/xml fallback kept as the
@@ -269,7 +289,8 @@ func reportCPUShape(b *testing.B) {
 // reportPipelineStages records the pipelined committer's per-stage wall
 // and idle timings from the last iteration's report, under "stage-*-ns"
 // units so cmd/benchjson groups them into a stage_ns breakdown per
-// entry. The workers=1 entry reports none: it runs the sequential path.
+// entry. The workers=1 entry reports none: it runs the one-worker batch
+// inline, outside the pipeline.
 func reportPipelineStages(b *testing.B, report *IngestReport) {
 	if report == nil || report.Pipeline == nil {
 		return

@@ -128,12 +128,12 @@ const (
 //
 // The per-element fingerprint is a pure function of the accumulated
 // state: for each attribute, present·H_p + overflow·H_ov + Σ_v
-// count(v)·H_v over its kept values, summed mod 2^64. Every mutation
-// path (recordAttribute, mergeAttStats, commitAttr) adds exactly the
-// delta it applies, so extractions reaching equal attribute state
-// through different merge histories agree — the same remap-stability
-// argument the sequence fingerprints make — and a snapshot decoder can
-// recompute the fingerprint from the restored stats.
+// count(v)·H_v over its kept values, summed mod 2^64. The one mutation
+// path, commitAttrStage, adds exactly the delta it applies, so
+// extractions reaching equal attribute state through different merge
+// histories agree — the same remap-stability argument the sequence
+// fingerprints make — and a snapshot decoder can recompute the
+// fingerprint from the restored stats.
 const (
 	attPresentSeed  = 0x71c9d3a4b8e6f215
 	attOverflowSeed = 0x2b7e151628aed2a6

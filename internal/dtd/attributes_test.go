@@ -164,7 +164,7 @@ func TestParseAttlistForms(t *testing.T) {
 func TestAttributeStatsOverflow(t *testing.T) {
 	x := NewExtraction()
 	for i := 0; i < maxAttValues+10; i++ {
-		x.recordAttribute("e", "big", strings.Repeat("v", 1+i%7)+string(rune('a'+i%26))+itoa(i))
+		x.recordAttribute(attObs{elem: "e", att: "big", value: strings.Repeat("v", 1+i%7) + string(rune('a'+i%26)) + itoa(i)})
 		x.AddSequences("e", [][]string{nil})
 	}
 	st := x.Attributes["e"]["big"]

@@ -153,8 +153,8 @@ func TestAddDocsParallelContextCancelMidBatch(t *testing.T) {
 
 // TestAddDocsContextUncancelled pins the one-worker staging contract: a
 // cancellable context that is never cancelled (batch staged, then
-// merged) gives the same report and corpus as a Done-less context
-// (documents committed directly).
+// adopted) gives the same report and corpus as a Done-less context
+// (units folded straight into the corpus).
 func TestAddDocsContextUncancelled(t *testing.T) {
 	mk := func() []Doc {
 		return []Doc{

@@ -2,6 +2,7 @@ package dtd
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -93,14 +94,19 @@ var decoderEquivCorpus = []string{
 	`<a x="<"/>`,
 }
 
-// ingestWith runs one document through the stager on the decoder opts
-// selects into a fresh extraction, returning the extraction, the decode
-// stats and the error.
+// ingestWith runs one document through the one-worker batch on the
+// decoder opts selects into a fresh extraction, returning the
+// extraction, the decode stats (from the report) and the document's own
+// error, unwrapped from its *DocumentError.
 func ingestWith(t *testing.T, doc string, opts *IngestOptions) (*Extraction, docStats, error) {
 	t.Helper()
 	x := NewExtraction()
-	stats, err := newStager(opts).ingestOne(context.Background(), strings.NewReader(doc), opts, x)
-	return x, stats, err
+	report, err := x.AddDocsParallelContext(context.Background(), []Doc{{R: strings.NewReader(doc)}}, 1, opts, FailFast)
+	var derr *DocumentError
+	if errors.As(err, &derr) {
+		err = derr.Err
+	}
+	return x, docStats{bytes: report.Bytes, tokens: report.Tokens, elements: report.Elements}, err
 }
 
 // checkDecoderEquivalence asserts that the stager on the fast source,

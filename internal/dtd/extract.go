@@ -142,34 +142,6 @@ func (x *Extraction) DirtyElements() []string {
 	return names
 }
 
-// recordAttribute folds one observed attribute value into the
-// statistics, mirroring every state change into the element's attribute
-// fingerprint.
-func (x *Extraction) recordAttribute(element, attribute, value string) {
-	atts := x.Attributes[element]
-	if atts == nil {
-		atts = map[string]*attStats{}
-		x.Attributes[element] = atts
-	}
-	st := atts[attribute]
-	if st == nil {
-		st = &attStats{values: map[string]int{}}
-		atts[attribute] = st
-	}
-	hp, hov, hval := attNameHashes(attribute)
-	st.present++
-	x.attFpAdd(element, hp, 1)
-	if _, seen := st.values[value]; !seen && len(st.values) >= maxAttValues {
-		if !st.overflow {
-			st.overflow = true
-			x.attFpAdd(element, hov, 1)
-		}
-		return
-	}
-	st.values[value]++
-	x.attFpAdd(element, attValueHash(hval, value), 1)
-}
-
 // sampleOf returns the element's counted sample, creating it on first use.
 func (x *Extraction) sampleOf(element string) *sample.Set {
 	s := x.Sequences[element]

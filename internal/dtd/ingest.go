@@ -5,19 +5,25 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"time"
+
+	"dtdinfer/internal/faultinject"
 )
 
 // Ingestion hardening: real-world corpora are large and messy, so the
 // extraction layer must survive truncated, malformed and adversarial
 // documents without corrupting accumulated state or exhausting memory.
 // This file provides the resource caps (IngestOptions), the per-document
-// fault-isolation policies (ErrorPolicy), the per-document batch loop
-// behind AddDocsParallelContext with its metrics report (IngestReport),
-// and the Merge primitive that folds whole extractions (snapshots,
-// batch-atomic staging) into one another. Every document is staged by
-// the stager (stager.go) and committed only on success.
+// fault-isolation policies (ErrorPolicy), the per-document loop every
+// batch runs (ingestDocs) with its metrics report (IngestReport), the
+// one-worker batch, the batch-atomicity decision shared with the
+// pipeline, and the Merge primitive that folds whole extractions
+// (snapshots, summaries, batch-atomic staging) into one another. Every
+// document is staged by the stager (stager.go) into a stage unit only on
+// success, and every unit reaches the corpus through commitShard
+// (pipeline.go).
 
 // IngestOptions caps the resources one document may consume during
 // extraction, defending against XML bombs (deeply nested or enormous
@@ -246,11 +252,16 @@ type Doc struct {
 }
 
 // AddDocumentOptions parses one XML document under the given resource
-// caps and accumulates its observations. The operation is failure-atomic:
-// on any error (malformed XML, unbalanced tags, violated cap) the
-// extraction is left exactly as it was.
+// caps and accumulates its observations: the one-worker batch over one
+// document, returning the document's own error. The operation is
+// failure-atomic: on any error (malformed XML, unbalanced tags, violated
+// cap) the extraction is left exactly as it was.
 func (x *Extraction) AddDocumentOptions(r io.Reader, opts *IngestOptions) error {
-	_, err := newStager(opts).ingestOne(context.Background(), r, opts, x)
+	_, err := x.addDocsInline(context.Background(), []Doc{{R: r}}, opts, FailFast)
+	var derr *DocumentError
+	if errors.As(err, &derr) {
+		return derr.Err
+	}
 	return err
 }
 
@@ -264,27 +275,31 @@ func LabelDocs(docs []io.Reader) []Doc {
 	return labeled
 }
 
-// addDocsSequential is the one-worker batch: documents commit one at a
-// time through a single stager. Cancellation is batch-atomic: the whole
-// batch is staged and committed only when the context is still live at
-// the end, so a cancelled call returns ctx.Err() (alongside the partial
-// report) and leaves x exactly as it was. The batch-level staging is
-// paid only when the context can actually be cancelled; with a
-// Done-less context (context.Background()) documents commit directly
-// into x.
-func (x *Extraction) addDocsSequential(ctx context.Context, docs []Doc, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
+// addDocsInline is the one-worker batch: the pipeline worker's loop run
+// on the calling goroutine, with no goroutines or channels. One stager
+// stages accepted documents into its unit; whenever the unit reaches the
+// flush budget, and once at the end of the batch, commitShard folds it
+// into the batch target and the unit is reset for reuse. Cancellation is
+// batch-atomic (see batchTarget): a cancelled call returns ctx.Err()
+// alongside the partial report and leaves x exactly as it was.
+func (x *Extraction) addDocsInline(ctx context.Context, docs []Doc, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
 	report := &IngestReport{}
-	target := x
-	if ctx.Done() != nil {
-		target = NewExtraction()
+	target := x.batchTarget(ctx)
+	st := newStager(opts)
+	st.textHeld = target.heldTexts()
+	var wc workerCommit
+	fold := func() {
+		st.shard.sealNames(st.names)
+		commitShard(&wc, st.shard, target)
+		st.shard.reset()
 	}
-	derr, cancelErr := ingestDocs(newStager(opts), ctx, target, docs, 0, opts, policy, report)
+	st.flush = fold
+	derr, cancelErr := ingestDocs(st, ctx, docs, 0, opts, policy, report)
 	if cancelErr != nil {
 		return report, cancelErr
 	}
-	if target != x {
-		x.Merge(target)
-	}
+	fold()
+	x.adopt(target)
 	report.TextOverflows = len(x.TextOverflow)
 	if derr != nil {
 		return report, derr
@@ -292,23 +307,22 @@ func (x *Extraction) addDocsSequential(ctx context.Context, docs []Doc, opts *In
 	return report, nil
 }
 
-// ingestDocs runs the per-document staging loop through st into x,
-// labeling errors with baseIndex+i so a shard of a larger batch reports
-// original document positions. The first return is the first failing
-// document under FailFast; the second is the context's error when the
-// batch was abandoned mid-way — a cancelled document is batch abortion,
-// not a per-document fault, so it is never recorded in the report. This
-// is the single ingestion loop shared by the sequential and pipelined
-// batches: a pipeline worker runs it in shard-staging mode, with one
-// stager amortizing its decoder and staging buffers across every shard
-// it claims.
-func ingestDocs(st *stager, ctx context.Context, x *Extraction, docs []Doc, baseIndex int, opts *IngestOptions, policy ErrorPolicy, report *IngestReport) (*DocumentError, error) {
+// ingestDocs runs the per-document staging loop through st, labeling
+// errors with baseIndex+i so a shard of a larger batch reports original
+// document positions. The first return is the first failing document
+// under FailFast; the second is the context's error when the batch was
+// abandoned mid-way — a cancelled document is batch abortion, not a
+// per-document fault, so it is never recorded in the report. This is the
+// one per-document loop: the one-worker batch runs it over the whole
+// batch, and each pipeline worker over every shard it claims, with one
+// stager amortizing its decoder and staging buffers across them.
+func ingestDocs(st *stager, ctx context.Context, docs []Doc, baseIndex int, opts *IngestOptions, policy ErrorPolicy, report *IngestReport) (*DocumentError, error) {
 	for i, doc := range docs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		report.Documents++
-		stats, err := st.ingestOne(ctx, doc.R, opts, x)
+		stats, err := st.ingestOne(ctx, doc.R, opts)
 		report.Bytes += stats.bytes
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
@@ -334,9 +348,58 @@ func ingestDocs(st *stager, ctx context.Context, x *Extraction, docs []Doc, base
 	return nil, nil
 }
 
+// batchTarget is the one batch-atomicity decision, made for the
+// one-worker batch and the pipeline alike: the extraction a batch
+// commits into. When the run can abort mid-commit (a cancellable
+// context, or an armed pipeline.commit fault) it is a fresh staging
+// extraction that adopt publishes into x only on success, so an aborted
+// run leaves x untouched by construction. Otherwise nothing can abort a
+// commit, and the batch commits straight into x at no extra cost.
+func (x *Extraction) batchTarget(ctx context.Context) *Extraction {
+	if ctx.Done() != nil || faultinject.ArmedAt("pipeline.commit") {
+		return NewExtraction()
+	}
+	return x
+}
+
+// heldTexts snapshots how many text samples x holds per element, taken
+// before a batch stages anything for x. x only grows while the batch
+// runs, so no document needs to stage more samples for an element than
+// the room left at batch start: an element whose samples are full costs
+// no staged string at all, and the corpus-wide cap in commitShard drops
+// exactly what it would have dropped anyway.
+func (x *Extraction) heldTexts() map[string]int {
+	held := make(map[string]int, len(x.TextSamples))
+	for name, samples := range x.TextSamples {
+		held[name] = len(samples)
+	}
+	return held
+}
+
+// adopt publishes a completed batch's target (see batchTarget) into x.
+// A batch that committed into x itself needs nothing. Into an empty x
+// the staging is adopted wholesale, which is byte-identical to having
+// committed into x directly and free (x keeps its own inference lock);
+// otherwise it is merged.
+func (x *Extraction) adopt(target *Extraction) {
+	switch {
+	case target == x:
+	case x.isEmpty():
+		mu := x.inferMu
+		*x = *target
+		x.inferMu = mu
+	default:
+		x.Merge(target)
+	}
+}
+
 // Merge folds another extraction's observations into x, preserving the
-// per-element text-sample and attribute-value caps. Merge(a); Merge(b)
-// is equivalent to ingesting a's and b's documents directly. Sequence
+// per-element text-sample and attribute-value caps. Below the
+// attribute-value cap, Merge(a); Merge(b) is equivalent to ingesting a's
+// and b's documents directly. At the cap, Merge keeps the lexically
+// first of o's new values (o holds no first-seen order to replay), so
+// the result is deterministic but may keep different values than direct
+// ingestion would; an overflowed attribute is CDATA either way. Sequence
 // samples merge at the interned-ID level (see sample.Set.Merge): cost is
 // proportional to o's *unique* sequences, and element-name strings are
 // only touched on the first corpus-wide sight of a symbol.
@@ -376,56 +439,18 @@ func (x *Extraction) Merge(o *Extraction) {
 	}
 	for elem, atts := range o.Attributes {
 		for att, st := range atts {
-			x.mergeAttStats(elem, att, st)
+			a := &attStage{name: att, present: st.present, overflow: st.overflow}
+			for v, n := range st.values {
+				a.vals = append(a.vals, valCount{v: v, n: n})
+			}
+			sort.Slice(a.vals, func(i, j int) bool { return a.vals[i].v < a.vals[j].v })
+			commitAttrStage(x, elem, a)
 		}
 	}
 	for name, n := range o.Roots {
 		x.Roots[name] += n
 	}
 	x.Documents += o.Documents
-}
-
-// mergeAttStats folds one element/attribute statistic into x, honoring
-// the distinct-value cap the per-document recording also enforces. The
-// element is marked dirty on attribute-shape changes (new attribute,
-// new distinct value, overflow flip) but not on bare presence-count
-// bumps — <!ATTLIST> declarations are recomputed on every inference
-// pass, so the dirty bit only tracks changes that could alter them.
-func (x *Extraction) mergeAttStats(elem, att string, o *attStats) {
-	atts := x.Attributes[elem]
-	if atts == nil {
-		atts = map[string]*attStats{}
-		x.Attributes[elem] = atts
-	}
-	st := atts[att]
-	if st == nil {
-		st = &attStats{values: map[string]int{}}
-		atts[att] = st
-		x.markDirty(elem)
-	}
-	hp, hov, hval := attNameHashes(att)
-	st.present += o.present
-	x.attFpAdd(elem, hp, o.present)
-	if o.overflow && !st.overflow {
-		st.overflow = true
-		x.attFpAdd(elem, hov, 1)
-		x.markDirty(elem)
-	}
-	for v, n := range o.values {
-		if _, seen := st.values[v]; !seen {
-			if len(st.values) >= maxAttValues {
-				if !st.overflow {
-					st.overflow = true
-					x.attFpAdd(elem, hov, 1)
-					x.markDirty(elem)
-				}
-				continue
-			}
-			x.markDirty(elem)
-		}
-		st.values[v] += n
-		x.attFpAdd(elem, attValueHash(hval, v), n)
-	}
 }
 
 // InferStats reports one inference pass: per-element timings, engine

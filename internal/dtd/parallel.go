@@ -9,11 +9,12 @@ import (
 
 // Parallel sharded ingestion. The corpus is split into contiguous shards;
 // each worker claims shards off a shared queue and stages their documents
-// using the same per-document fault-isolation loop as the sequential
-// path, under the same IngestOptions caps. Whichever decoder feeds it,
-// the stager stages a shard entirely in the worker's private symbol
-// space (shardStage): counted ID multisets per element, zero
-// synchronization, no string interning beyond the worker's own table.
+// using the one per-document fault-isolation loop (ingestDocs) the
+// one-worker batch also runs, under the same IngestOptions caps.
+// Whichever decoder feeds it, the stager stages a shard entirely in the
+// worker's private symbol space (shardStage): counted ID multisets per
+// element, zero synchronization, no string interning beyond the worker's
+// own table.
 // Completed (or flush-budget sealed partial) stages stream to a
 // committer that folds them into the corpus in shard order *while later
 // shards are still decoding* — see pipeline.go for the streaming engine,
@@ -25,18 +26,20 @@ import (
 //
 // Because every observation the extraction accumulates is a commutative
 // set/counter union (2T-INF edge sets, occurrence counters, root tallies)
-// and the order-sensitive parts (Sequences order, capped text samples) are
-// re-serialized by the in-order commit, the result is byte-identical to
-// sequential ingestion of the same documents: Merge(a); Merge(b) equals
-// ingesting a's then b's documents directly, and shards partition the
-// batch in order. Reports are deterministic too — per-document errors
-// carry original batch indexes and shards are contiguous, so concatenating
-// shard reports in shard order reproduces the sequential report exactly.
+// and the order-sensitive parts (Sequences order, capped text samples,
+// capped attribute values) are re-serialized by the in-order commit, the
+// result is byte-identical to ingesting the same documents one at a time:
+// shards partition the batch in order, and a unit keeps its attribute
+// values in first-seen order without capping them, so commitShard applies
+// every cap exactly as document order would. Reports are deterministic
+// too — per-document errors carry original batch indexes and shards are
+// contiguous, so concatenating shard reports in shard order reproduces
+// the one-worker report exactly.
 //
-// Under FailFast the committed prefix matches sequential FailFast: shards
+// Under FailFast the committed prefix matches one-worker FailFast: shards
 // before the earliest failing document commit in full, the failing shard
 // commits its documents preceding the failure, and everything after is
-// discarded. The only observable difference from sequential FailFast is
+// discarded. The only observable difference from one-worker FailFast is
 // that readers of later documents may already have been partially consumed
 // by workers before the failure surfaced.
 
@@ -144,25 +147,27 @@ func shardBounds(docs []Doc, shardCount int) []int {
 // stay committed and later ones are not committed. Callers without file
 // names label documents with LabelDocs.
 //
-// One worker, or fewer than two documents, commits document by document
-// (addDocsSequential); otherwise the pipeline (pipeline.go) stages
-// shards in parallel and commits them in order. Both produce the same
-// extraction and report. Workers check the context before claiming each
-// shard and inside every document's decode loop, so a cancelled call
-// returns promptly with ctx.Err() and no lingering goroutines (the call
-// still joins its workers before returning). Cancellation is
+// One worker, or fewer than two documents, runs the pipeline worker's
+// loop inline on the calling goroutine (addDocsInline); otherwise the
+// pipeline (pipeline.go) stages shards in parallel and commits them in
+// order. Both stage into the same units and fold them with the same
+// commitShard, so both produce the same extraction and report. Workers
+// check the context before claiming each shard and inside every
+// document's decode loop, so a cancelled call returns promptly with
+// ctx.Err() and no lingering goroutines (the call still joins its
+// workers before returning). Cancellation is
 // batch-atomic: with a cancellable context the documents commit into a
 // staging extraction that x adopts only on success, so a cancelled call
 // — even one cancelled with shards already in the commit channel —
 // leaves x exactly as it was. The returned report carries
-// PipelineStats (per-stage wall and idle timings) when the pipelined
-// path ran.
+// PipelineStats (per-stage wall and idle timings) when the pipeline ran;
+// the inline one-worker batch reports none.
 func (x *Extraction) AddDocsParallelContext(ctx context.Context, docs []Doc, workers int, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers == 1 || len(docs) < 2 {
-		return x.addDocsSequential(ctx, docs, opts, policy)
+		return x.addDocsInline(ctx, docs, opts, policy)
 	}
 	shardCount := workers * shardsPerWorker
 	if shardCount > len(docs) {

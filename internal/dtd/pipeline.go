@@ -114,6 +114,7 @@ type pipeline struct {
 	policy     ErrorPolicy
 	workers    int
 	shardCount int
+	textHeld   map[string]int // the target's heldTexts, shared read-only
 
 	next        int64 // next unclaimed shard index
 	failedShard int64 // lowest shard that hit FailFast (-1: committer abort)
@@ -180,13 +181,14 @@ func (p *pipeline) release(m stageMsg) {
 }
 
 // worker claims shards and decodes them, shipping sealed stage units as
-// it goes. The afterDoc hook seals a partial unit whenever the staged
-// bytes cross the flush budget; the final unit rides with the shard's
-// report. A worker that observes cancellation while
+// it goes. The stager's flush hook seals a partial unit whenever the
+// staged bytes cross the flush budget; the final unit rides with the
+// shard's report. A worker that observes cancellation while
 // waiting for a token abandons its shard unshipped — the committer is in
 // drain mode by then and the batch result is discarded anyway.
 func (p *pipeline) worker(w int) {
 	st := newStager(p.opts)
+	st.textHeld = p.textHeld
 	tokens := p.inflight[w]
 	for {
 		if p.ctx.Err() != nil {
@@ -209,11 +211,8 @@ func (p *pipeline) worker(w int) {
 		start := time.Now()
 		msg := stageMsg{shard: si, worker: w, final: true}
 		shardDocs := p.docs[p.bounds[si]:p.bounds[si+1]]
-		st.beginShard(p.getShard())
-		st.afterDoc = func() {
-			if st.shard.bytes < shardFlushBytes {
-				return
-			}
+		st.shard = p.getShard()
+		st.flush = func() {
 			if !p.acquire(tokens, &waited) {
 				// Cancelled: keep staging in place; the decode loop
 				// aborts at its next cancellation checkpoint.
@@ -225,11 +224,9 @@ func (p *pipeline) worker(w int) {
 			p.ch <- stageMsg{shard: si, worker: w, unit: unit}
 			st.shard = p.getShard()
 		}
-		msg.err, _ = ingestDocs(st, p.ctx, nil, shardDocs, p.bounds[si], p.opts, p.policy, &msg.report)
-		st.afterDoc = nil
+		msg.err, _ = ingestDocs(st, p.ctx, shardDocs, p.bounds[si], p.opts, p.policy, &msg.report)
 		msg.unit = st.shard
 		msg.unit.sealNames(st.names)
-		st.endShard()
 		atomic.AddInt64(&p.decodeNs, int64(time.Since(start))-waited)
 		atomic.AddInt64(&p.flushWaitNs, waited)
 		if msg.err != nil && p.policy == FailFast {
@@ -261,12 +258,14 @@ type workerCommit struct {
 	targets []commitTarget
 }
 
-// commitShard folds one sealed stage unit into the target. It runs
-// only on the committer goroutine, in (shard, unit) order, resolving
+// commitShard folds one sealed stage unit into the target: the one fold
+// from staged observations into an Extraction, at every worker count. On
+// the pipeline it runs only on the committer goroutine, in (shard, unit)
+// order; the one-worker batch runs it inline. Either way it resolves
 // symbols from the unit's sealed name snapshot — never from the staging
 // worker's live table. Walking touched in first-touch order makes every
-// corpus-level first sight happen in sequential document order, which is
-// what keeps the result byte-identical to sequential ingestion.
+// corpus-level first sight happen in document order, which is what keeps
+// the result byte-identical at every worker count and flush budget.
 func commitShard(wc *workerCommit, sh *shardStage, target *Extraction) {
 	for _, w := range sh.touched {
 		se := sh.perElem[w]
@@ -426,9 +425,11 @@ func (c *committer) drainPending() {
 // comment at the top of this file for the architecture and invariants.
 func (x *Extraction) runPipeline(ctx context.Context, docs []Doc, bounds []int, workers int, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
 	shardCount := len(bounds) - 1
+	target := x.batchTarget(ctx)
 	p := &pipeline{
 		ctx:         ctx,
 		docs:        docs,
+		textHeld:    target.heldTexts(),
 		bounds:      bounds,
 		opts:        opts,
 		policy:      policy,
@@ -463,18 +464,6 @@ func (x *Extraction) runPipeline(ctx context.Context, docs []Doc, bounds []int, 
 		close(p.ch)
 	}()
 
-	// Batch atomicity: when the run can abort mid-commit (cancellable
-	// context, or an armed pipeline.commit fault) the committer folds
-	// into a staging extraction and x adopts it only on success — an
-	// aborted run leaves x untouched by construction. With a Done-less
-	// context and no armed fault nothing can abort a commit, so units
-	// fold straight into x and the call costs no final merge at all.
-	target := x
-	var staging *Extraction
-	if ctx.Done() != nil || faultinject.ArmedAt("pipeline.commit") {
-		staging = NewExtraction()
-		target = staging
-	}
 	c := &committer{
 		p:       p,
 		target:  target,
@@ -536,18 +525,9 @@ func (x *Extraction) runPipeline(ctx context.Context, docs []Doc, bounds []int, 
 			break
 		}
 	}
-	if staging != nil {
+	if target != x {
 		t0 := time.Now()
-		if x.isEmpty() {
-			// Fresh corpus: adopt the staging wholesale — byte-identical
-			// to having committed into x directly, and free. x keeps its
-			// own inference lock.
-			mu := x.inferMu
-			*x = *staging
-			x.inferMu = mu
-		} else {
-			x.Merge(staging)
-		}
+		x.adopt(target)
 		stats.FinalMerge = time.Since(t0)
 	}
 	report.TextOverflows = len(x.TextOverflow)

@@ -56,11 +56,12 @@ func TestPipelineFlushUnitSplittingByteIdentity(t *testing.T) {
 }
 
 // TestPipelineArenaReuseSingleWorker drives runPipeline with one worker
-// (the public API short-circuits workers==1 to the sequential path, so
-// the engine is called directly) and a tiny flush budget: the worker must
-// exhaust its in-flight tokens, block on the committer, and then recycle
-// a committed arena — deterministically, because nobody else can drain
-// the free list. Also pins pipelined byte-identity at workers=1.
+// (the public API runs workers==1 inline, without the pipeline's
+// goroutines and channels, so the engine is called directly) and a tiny
+// flush budget: the worker must exhaust its in-flight tokens, block on
+// the committer, and then recycle a committed arena — deterministically,
+// because nobody else can drain the free list. Also pins pipelined
+// byte-identity at workers=1.
 func TestPipelineArenaReuseSingleWorker(t *testing.T) {
 	withFlushBytes(t, 64)
 	docs := genDocs(7, 80)

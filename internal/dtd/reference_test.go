@@ -17,24 +17,37 @@ import (
 
 // refIngest ingests one document through the reference loop into x,
 // failure-atomically: stage into a scratch extraction plus verbatim
-// sequence buffers, then Merge and commit the sequences on success.
+// sequence and attribute buffers, then Merge and commit the buffers on
+// success.
 func refIngest(ctx context.Context, x *Extraction, r io.Reader, opts *IngestOptions) (docStats, error) {
 	stage := NewExtraction()
 	seqs := map[string][][]string{}
-	stats, err := stage.extractOne(ctx, r, opts, seqs)
+	var atts []attObs
+	stats, err := stage.extractOne(ctx, r, opts, seqs, &atts)
 	if err != nil {
 		return stats, err
 	}
 	x.Merge(stage)
 	x.commitSequences(seqs)
+	x.commitAttributes(atts)
 	return stats, nil
 }
 
+// attObs is one attribute occurrence in document order. dropped marks
+// an occurrence past the per-document distinct-value cap: it counts as
+// present and overflows the attribute, but records no value.
+type attObs struct {
+	elem, att, value string
+	dropped          bool
+}
+
 // extractOne runs the decode loop over one document, mutating x directly
-// except for children sequences, which are buffered as verbatim strings
-// into the caller-owned seqs map. Callers that need atomicity (refIngest)
-// run it on a staging extraction, then Merge the stage and commit the
-// buffered sequences on success. Keeping the per-document staging as plain strings means each
+// except for children sequences and attribute occurrences, which are
+// buffered verbatim into the caller-owned seqs map and atts list (in
+// document order, so the corpus-wide attribute-value cap keeps the first
+// values observed). Callers that need atomicity (refIngest) run it on a
+// staging extraction, then Merge the stage and commit the buffers on
+// success. Keeping the per-document staging as plain strings means each
 // observed sequence is interned exactly once, into the commit target's
 // counted sample — a staged sample.Set would intern into a throwaway
 // table and force Merge to re-intern on every document. A nil opts
@@ -45,7 +58,7 @@ func refIngest(ctx context.Context, x *Extraction, r io.Reader, opts *IngestOpti
 // batch abortion rather than a per-document fault. A context that can
 // never be cancelled (Done() == nil, e.g. context.Background()) costs
 // nothing in the loop.
-func (x *Extraction) extractOne(ctx context.Context, r io.Reader, opts *IngestOptions, seqs map[string][][]string) (docStats, error) {
+func (x *Extraction) extractOne(ctx context.Context, r io.Reader, opts *IngestOptions, seqs map[string][][]string, atts *[]attObs) (docStats, error) {
 	var o IngestOptions
 	if opts != nil {
 		o = *opts
@@ -65,6 +78,9 @@ func (x *Extraction) extractOne(ctx context.Context, r io.Reader, opts *IngestOp
 	if o.MaxNames > 0 {
 		names = make(map[string]bool, 16)
 	}
+	// docVals holds each element attribute's distinct values this
+	// document, for the per-document distinct-value cap.
+	docVals := map[[2]string]map[string]bool{}
 	for {
 		if done != nil && stats.tokens%cancelCheckInterval == 0 {
 			select {
@@ -112,7 +128,17 @@ func (x *Extraction) extractOne(ctx context.Context, r io.Reader, opts *IngestOp
 				if attr.Name.Space == "xmlns" || attr.Name.Local == "xmlns" {
 					continue
 				}
-				x.recordAttribute(name, attr.Name.Local, attr.Value)
+				key := [2]string{name, attr.Name.Local}
+				seen := docVals[key]
+				if seen == nil {
+					seen = map[string]bool{}
+					docVals[key] = seen
+				}
+				dropped := !seen[attr.Value] && len(seen) >= maxAttValues
+				if !dropped {
+					seen[attr.Value] = true
+				}
+				*atts = append(*atts, attObs{elem: name, att: attr.Name.Local, value: attr.Value, dropped: dropped})
 			}
 			stack = append(stack, frame{name: name})
 		case xml.EndElement:
@@ -153,4 +179,48 @@ func (x *Extraction) commitSequences(seqs map[string][][]string) {
 			x.markDirty(name)
 		}
 	}
+}
+
+// commitAttributes folds one successfully decoded document's attribute
+// occurrences into the accumulator, one at a time in document order.
+func (x *Extraction) commitAttributes(atts []attObs) {
+	for _, a := range atts {
+		x.recordAttribute(a)
+	}
+}
+
+// recordAttribute folds one attribute occurrence into the statistics,
+// mirroring every state change into the element's attribute fingerprint
+// and marking the element dirty on a new attribute, a new distinct value
+// or an overflow flip: the reference loop's per-value attribute
+// recording.
+func (x *Extraction) recordAttribute(a attObs) {
+	atts := x.Attributes[a.elem]
+	if atts == nil {
+		atts = map[string]*attStats{}
+		x.Attributes[a.elem] = atts
+	}
+	st := atts[a.att]
+	if st == nil {
+		st = &attStats{values: map[string]int{}}
+		atts[a.att] = st
+		x.markDirty(a.elem)
+	}
+	hp, hov, hval := attNameHashes(a.att)
+	st.present++
+	x.attFpAdd(a.elem, hp, 1)
+	_, seen := st.values[a.value]
+	if a.dropped || !seen && len(st.values) >= maxAttValues {
+		if !st.overflow {
+			st.overflow = true
+			x.attFpAdd(a.elem, hov, 1)
+			x.markDirty(a.elem)
+		}
+		return
+	}
+	if !seen {
+		x.markDirty(a.elem)
+	}
+	st.values[a.value]++
+	x.attFpAdd(a.elem, attValueHash(hval, a.value), 1)
 }

@@ -17,9 +17,11 @@ import (
 // (internal/xmltok) by default, or encoding/xml adapted to the same
 // token shape on DecoderStd — and stages the document's observations in
 // a worker-local interned symbol space, with no intermediate strings on
-// the repeat path, before committing them into the target extraction or
-// a pipeline shard stage. Caps, cancellation and namespace filtering are
-// enforced here once for both decoders. The encoding/xml extraction this
+// the repeat path. An accepted document folds into the stager's stage
+// unit (shardStage), still in that symbol space; commitShard
+// (pipeline.go) is the one fold from a unit into an Extraction, at every
+// worker count. Caps, cancellation and namespace filtering are enforced
+// here once for both decoders. The encoding/xml extraction this
 // replaced survives as test code, the reference the decoder-equivalence
 // suites (FuzzTokenizerEquivalence) hold both sources to.
 
@@ -64,10 +66,11 @@ type elemStage struct {
 	arena []int32
 	ends  []int
 	// hasText marks non-whitespace character data; texts stages up to
-	// textCap trimmed samples (the commit destination's remaining sample
-	// space, so a full destination costs no string materialization at
-	// all). textOverflow records that at least one sample was dropped at
-	// the cap, so the kept set is incomplete.
+	// textCap trimmed samples (the room the destination and the stage unit
+	// leave, so a full destination costs no string materialization at all;
+	// commitShard applies the corpus-wide cap). textOverflow records that
+	// at least one sample was dropped at the cap, so the kept set is
+	// incomplete.
 	hasText      bool
 	texts        []string
 	textCap      int
@@ -78,25 +81,12 @@ type elemStage struct {
 	attsTouched []*attStage
 }
 
-// elemTarget caches one element's commit destination: the target
-// extraction's sample.Set for the element plus the worker-local-ID ->
-// set-ID remap. Both are valid for the stager's current target
-// (epoch); the remap persists for as long as the target does, so a
-// worker committing many shards into one corpus resolves each distinct
-// child symbol's string exactly once and every later occurrence is a
-// slice index.
-type elemTarget struct {
-	epoch int64
-	set   *sample.Set
-	remap intern.Remap
-}
-
 // stager drives a token source over documents and stages observations
 // in a worker-local dense symbol space. One instance serves a whole
-// batch (or a parallel worker's run of shards): the source, the intern
-// table, and every staging buffer are reused across documents, so the
-// per-document cost on a warmed-up corpus (fast decoder) is map probes
-// and slice appends, not allocations.
+// one-worker batch (or a pipeline worker's run of shards): the source,
+// the intern table, and every staging buffer are reused across
+// documents, so the per-document cost on a warmed-up corpus (fast
+// decoder) is map probes and slice appends, not allocations.
 //
 // The worker-local intern table grows with every distinct element name
 // the worker ever sees, including names from documents that are later
@@ -125,46 +115,35 @@ type stager struct {
 	nsBind  map[string][]string
 	bindLog []string
 
-	idBuf []int32 // commit scratch: one sequence in target-set IDs
-
-	// targets caches per-element commit destinations for the current
-	// target extraction, indexed by worker-local symbol ID.
-	targets     []elemTarget
-	target      *Extraction
-	targetEpoch int64
-
-	// shard, when non-nil, redirects successful documents' commits into a
-	// worker-owned shard stage (still keyed by this stager's symbol
-	// space) instead of an Extraction; see commitToShard.
+	// shard is the stage unit every accepted document folds into, still
+	// keyed by this stager's symbol space; see commitToShard.
 	shard *shardStage
 
-	// afterDoc, when set alongside shard, runs after every successful
-	// document commit into the shard — the pipelined driver's hook for
-	// shipping a flush unit once the staged bytes cross the budget. It is
-	// only ever invoked at a document boundary, which is what keeps
-	// sub-shard flushing invisible to the committed result.
-	afterDoc func()
+	// textHeld is the batch's heldTexts snapshot of the destination.
+	textHeld map[string]int
+
+	// flush runs after an accepted document once the unit's staged bytes
+	// reach shardFlushBytes: the driver's hook for folding (one worker) or
+	// shipping (pipeline) the unit and replacing it. Every driver sets it
+	// before ingestDocs. It runs only at a document boundary, which is
+	// what keeps sub-shard flushing invisible to the committed result.
+	flush func()
 }
 
 // newStager returns a stager reading the decoder opts selects
-// (nil/zero selects the fast tokenizer).
+// (nil/zero selects the fast tokenizer), with an empty stage unit.
 func newStager(opts *IngestOptions) *stager {
 	std := opts != nil && opts.Decoder == DecoderStd
-	return &stager{src: xmltok.NewSource(std), names: intern.NewTable()}
+	return &stager{src: xmltok.NewSource(std), names: intern.NewTable(), shard: &shardStage{}}
 }
 
 // ingestOne decodes one document under the caps and cancellation
-// cadence, committing into target (or, in shard mode, into the shard
-// stage) only on success: a failing document leaves the destination
-// untouched.
-func (f *stager) ingestOne(ctx context.Context, r io.Reader, opts *IngestOptions, target *Extraction) (docStats, error) {
+// cadence, folding it into the stage unit only on success: a failing
+// document leaves the unit untouched.
+func (f *stager) ingestOne(ctx context.Context, r io.Reader, opts *IngestOptions) (docStats, error) {
 	var o IngestOptions
 	if opts != nil {
 		o = *opts
-	}
-	if f.shard == nil && target != f.target {
-		f.target = target
-		f.targetEpoch++
 	}
 	f.beginDoc()
 	done := ctx.Done()
@@ -216,13 +195,9 @@ func (f *stager) ingestOne(ctx context.Context, r io.Reader, opts *IngestOptions
 		// elements into a syntax error — but kept as a backstop.
 		return stats, fmt.Errorf("dtd: unbalanced XML document")
 	}
-	if f.shard != nil {
-		f.commitToShard(f.shard)
-		if f.afterDoc != nil {
-			f.afterDoc()
-		}
-	} else {
-		f.commit(target)
+	f.commitToShard()
+	if f.shard.bytes >= shardFlushBytes {
+		f.flush()
 	}
 	return stats, nil
 }
@@ -409,14 +384,7 @@ func (f *stager) charData(text []byte) {
 	st := f.stage(w)
 	st.hasText = true
 	if st.textCap < 0 {
-		if f.shard != nil {
-			st.textCap = maxTextSamples - f.shard.textLen(w)
-		} else {
-			st.textCap = maxTextSamples - len(f.target.TextSamples[f.names.Name(int(w))])
-		}
-		if st.textCap < 0 {
-			st.textCap = 0
-		}
+		st.textCap = max(0, maxTextSamples-f.textHeld[f.names.Name(int(w))]-f.shard.textLen(w))
 	}
 	if len(st.texts) < st.textCap {
 		st.texts = append(st.texts, string(trimmed))
@@ -425,78 +393,13 @@ func (f *stager) charData(text []byte) {
 	}
 }
 
-// targetFor returns the cached commit destination for element w against
-// target, resolving the sample.Set (one string-keyed map lookup) and
-// resetting the ID remap only when the target changed since the cache
-// was last valid.
-func (f *stager) targetFor(w int32, target *Extraction) *elemTarget {
-	for len(f.targets) <= int(w) {
-		f.targets = append(f.targets, elemTarget{epoch: -1})
-	}
-	t := &f.targets[w]
-	if t.epoch != f.targetEpoch || t.set == nil {
-		t.epoch = f.targetEpoch
-		t.set = target.sampleOf(f.names.Name(int(w)))
-		t.remap.Reset()
-	}
-	return t
-}
-
-// commit folds one successfully decoded document's staged observations
-// into the target, translating worker-local symbol IDs into each
-// element's sample.Set space via the cached per-element remap — symbols
-// intern in observation order, so the resulting sets are byte-identical
-// to adding each sequence's names one document at a time.
-func (f *stager) commit(target *Extraction) {
-	for _, w := range f.touched {
-		st := f.elems[w]
-		name := f.names.Name(int(w))
-		if len(st.ends) > 0 {
-			tgt := f.targetFor(w, target)
-			before := tgt.set.ShapeFingerprint()
-			start := 0
-			for _, end := range st.ends {
-				f.idBuf = f.idBuf[:0]
-				for _, cw := range st.arena[start:end] {
-					id := tgt.remap.Get(cw)
-					if id < 0 {
-						id = int32(tgt.set.Intern(f.names.Name(int(cw))))
-						tgt.remap.Set(cw, id)
-					}
-					f.idBuf = append(f.idBuf, id)
-				}
-				tgt.set.AddIDs(f.idBuf, 1)
-				start = end
-			}
-			if tgt.set.ShapeFingerprint() != before {
-				target.markDirty(name)
-			}
-		}
-		if st.hasText && !target.HasText[name] {
-			target.HasText[name] = true
-			target.markDirty(name)
-		}
-		if len(st.texts) > 0 {
-			target.TextSamples[name] = append(target.TextSamples[name], st.texts...)
-		}
-		if st.textOverflow {
-			target.TextOverflow[name] = true
-		}
-		for _, a := range st.attsTouched {
-			commitAttrStage(target, name, a)
-		}
-	}
-	for _, w := range f.rootBuf {
-		target.Roots[f.names.Name(int(w))]++
-	}
-	target.Documents++
-}
-
 // commitAttrStage folds one staged attribute statistic into the target,
-// honoring the accumulated distinct-value cap like mergeAttStats, and
-// marking the element dirty under the same attribute-shape conditions.
-// It is target-only state (no stager involved), so both the worker's
-// direct per-document commit and the pipeline committer share it.
+// honoring the accumulated distinct-value cap (values past it are
+// dropped in a's order and set the overflow flag), and marking the
+// element dirty on attribute-shape changes: a new attribute, a new
+// distinct value, an overflow flip — not on bare presence-count bumps,
+// since <!ATTLIST> declarations are recomputed on every inference pass.
+// It is the one attribute fold: commitShard and Merge both use it.
 func commitAttrStage(target *Extraction, elem string, a *attStage) {
 	atts := target.Attributes[elem]
 	if atts == nil {
@@ -552,8 +455,8 @@ type shardElem struct {
 	// roots counts how often the element was a document root.
 	roots int
 	// atts accumulates attribute statistics in first-seen order (attList),
-	// so the final commit folds values deterministically even at the
-	// distinct-value cap.
+	// uncapped, so the corpus commit applies the distinct-value cap exactly
+	// as document-by-document ingestion would.
 	atts    map[string]*attStage
 	attList []*attStage
 }
@@ -575,13 +478,13 @@ func (se *shardElem) resetContent() {
 
 // shardStage stages one flush unit's worth of accepted documents entirely
 // in the owning worker's symbol space: per-element counted ID multisets
-// plus the scalar observations. A parallel worker fills it with
-// commitToShard (per accepted document, keeping failure atomicity), seals
-// it with sealNames, and ships it to the pipeline committer, which folds
-// units into the corpus extraction in (shard, unit) order with
-// commitShard — the only place worker-local IDs are translated, via
-// per-worker cached remaps. Committed units are recycled through a free
-// list: reset bumps the epoch and slot() lazily re-initializes storage.
+// plus the scalar observations. The stager fills it with commitToShard
+// (per accepted document, keeping failure atomicity) and seals it with
+// sealNames; commitShard then folds it into an extraction — inline on
+// the one-worker batch, on the pipeline committer in (shard, unit) order
+// otherwise — and is the only place worker-local IDs are translated, via
+// per-worker cached remaps. Committed units are reused: reset bumps the
+// epoch and slot() lazily re-initializes storage.
 type shardStage struct {
 	// perElem is indexed by the owning worker's symbol ID; touched lists
 	// the populated slots in first-touch order across the unit's
@@ -648,20 +551,14 @@ func (sh *shardStage) textLen(w int32) int {
 	return 0
 }
 
-// beginShard switches the stager into shard-staging mode: successful
-// documents fold into sh instead of committing into an Extraction.
-func (f *stager) beginShard(sh *shardStage) { f.shard = sh }
-
-// endShard leaves shard-staging mode.
-func (f *stager) endShard() { f.shard = nil }
-
 // commitToShard folds one successfully decoded document's staged
-// observations into the worker's shard stage. Everything is already in
+// observations into the stager's unit. Everything is already in
 // the worker's symbol space, so this is pure ID and counter work — no
 // strings, no target maps — and a rejected document never reaches it.
-// The staged-byte estimate it maintains is what the pipelined driver's
-// afterDoc hook consults to decide when to flush a sub-shard unit.
-func (f *stager) commitToShard(sh *shardStage) {
+// The staged-byte estimate it maintains is what decides when ingestOne
+// runs the flush hook.
+func (f *stager) commitToShard() {
+	sh := f.shard
 	for _, w := range f.touched {
 		st := f.elems[w]
 		se := sh.slot(w)
@@ -704,8 +601,12 @@ func (f *stager) commitToShard(sh *shardStage) {
 
 // foldAttr accumulates one document's staged attribute statistic into the
 // shard stage, preserving first-seen value order so the corpus commit is
-// deterministic even when the distinct-value cap truncates. epoch is the
-// owning shardStage's reuse generation: a stage last touched by a previous
+// deterministic even when the distinct-value cap truncates. The unit
+// itself applies no distinct-value cap: only the corpus knows which
+// values it already keeps, so a unit that dropped values at its own cap
+// would lose occurrences of values the corpus still counts. The unit's
+// byte estimate bounds its size instead. epoch is the owning
+// shardStage's reuse generation: a stage last touched by a previous
 // tenant of a recycled arena is reset on first sight.
 func (se *shardElem) foldAttr(a *attStage, epoch int64) {
 	if se.atts == nil {
@@ -733,16 +634,13 @@ func (se *shardElem) foldAttr(a *attStage, epoch int64) {
 			d.vals[slot].n += vc.n
 			continue
 		}
-		if len(d.vals) >= maxAttValues {
-			d.overflow = true
-			continue
-		}
 		d.idx[vc.v] = len(d.vals)
 		d.vals = append(d.vals, valCount{v: vc.v, n: vc.n})
 	}
 }
 
-// The fold of a sealed shardStage into the corpus extraction lives with
-// the pipeline committer (commitShard in pipeline.go): commit state
-// is owned by the committer goroutine, keyed by the sealed name
-// snapshot, so workers and committer never share mutable state.
+// The fold of a sealed shardStage into an extraction lives with the
+// pipeline committer (commitShard in pipeline.go): its commit state is
+// keyed by the sealed name snapshot, so a pipeline's workers and
+// committer never share mutable state, and the one-worker batch runs the
+// same fold inline.

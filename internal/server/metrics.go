@@ -25,7 +25,7 @@ type metrics struct {
 
 	// Pipelined-ingestion stage accounting, accumulated from each
 	// batch's IngestReport.Pipeline (absent when a batch ran the
-	// sequential path: one document, or parallelism 1).
+	// one-worker batch inline: one document, or parallelism 1).
 	pipelineBatches         atomic.Int64
 	pipelineFlushUnits      atomic.Int64
 	pipelineArenaReuses     atomic.Int64

@@ -296,7 +296,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`dtdserved_tenant_version{tenant="m"} 1`,
 		"dtdserved_draining 0",
 		// Pipeline stage counters are always exposed, even when every
-		// batch so far ran the sequential path (single-document batches).
+		// batch so far ran inline at one worker (single-document batches).
 		"dtdserved_pipeline_batches_total",
 		"dtdserved_pipeline_flush_units_total",
 		"dtdserved_pipeline_commit_ns_total",
