@@ -58,11 +58,11 @@ serve-smoke:
 # committer otherwise, so the gate holds the one-worker batch, tiny flush
 # units and the four-worker pipeline to the independent encoding/xml
 # reference loop, and keeps byte-identity across worker counts 1..8 and
-# both token sources (the fast tokenizer and encoding/xml, which feed the
-# same stager), plus flush-unit splitting, FailFast prefix semantics,
-# commit-fault atomicity and mid-commit cancellation — all under the race
-# detector so the worker/committer handoff is checked at real
-# parallelism.
+# both read shapes (whole reads, and one byte per Read so every token
+# straddles a read boundary), plus flush-unit splitting, FailFast prefix
+# semantics, commit-fault atomicity and mid-commit cancellation — all
+# under the race detector so the worker/committer handoff is checked at
+# real parallelism.
 pipeline-smoke:
 	$(GO) test -race -cpu $(RACE_CPU) -count=1 \
 		-run 'TestPipeline|TestEveryWorkerCountMatchesReference|TestParallelExtractionIdenticalToSequential|TestParallelInternIDsIdenticalAcrossWorkerCounts|TestParallelIngestion' \
@@ -78,9 +78,10 @@ check: fmt-check vet incremental-smoke snapshot-smoke serve-smoke pipeline-smoke
 
 # bench records the perf-trajectory workloads (Section 8.3 timings, the
 # end-to-end pipeline at several ingestion worker counts, the isolated
-# sharded-ingestion benchmark at both decoders, the dedup-vs-verbatim
-# sample pipeline comparison, the cold-vs-warm incremental inference
-# contrast, and the corpus-summary save/load-vs-reingest contrast) as
+# sharded-ingestion benchmark, validation over the ingestion corpus, the
+# dedup-vs-verbatim sample pipeline comparison, the cold-vs-warm
+# incremental inference contrast, and the corpus-summary
+# save/load-vs-reingest contrast) as
 # BENCH_PR10.json via cmd/benchjson. Parallel-ingestion entries carry a
 # stage_ns breakdown (decode/flush-wait/commit/committer-idle) from the
 # pipelined committer's PipelineStats.
@@ -93,7 +94,7 @@ check: fmt-check vet incremental-smoke snapshot-smoke serve-smoke pipeline-smoke
 # invisible. On a single-CPU machine, set GOMAXPROCS explicitly (e.g.
 # GOMAXPROCS=4) to record an oversubscribed run — the per-entry
 # gomaxprocs/cpus metrics keep it honest.
-BENCH_PATTERN = BenchmarkPerf|BenchmarkEndToEndDTD|BenchmarkIngestParallel|BenchmarkIngestOneDoc|BenchmarkIngestDecoder|BenchmarkIngestDedup|BenchmarkIncrementalInfer|BenchmarkSnapshot
+BENCH_PATTERN = BenchmarkPerf|BenchmarkEndToEndDTD|BenchmarkIngestParallel|BenchmarkIngestOneDoc|BenchmarkValidate|BenchmarkIngestDedup|BenchmarkIncrementalInfer|BenchmarkSnapshot
 BENCH_COUNT ?= 3x
 BENCH_MB ?= 100
 BENCH_OUT ?= BENCH_PR10.json
@@ -111,7 +112,7 @@ bench:
 		| $(GO) run ./cmd/benchjson > $(BENCH_OUT)
 
 # bench-smoke is the CI gate: every benchmark must run once without
-# failing; the decoder benchmark covers both the fast and the std path.
+# failing.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
@@ -124,8 +125,10 @@ profile:
 	@echo "wrote cpu.pprof and mem.pprof (go tool pprof <file>)"
 
 # fuzz-smoke runs each fuzz target briefly; go permits one -fuzz target
-# per invocation, hence one command per target. FuzzTokenizerEquivalence
-# is the differential gate holding the fast decoder to encoding/xml.
+# per invocation, hence one command per target. FuzzStreamEquivalence,
+# FuzzTokenizerEquivalence and FuzzValidatorEquivalence are the
+# differential gates holding the tokenizer, ingestion and validation to
+# encoding/xml and the reference loops built on it.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -133,6 +136,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzExtraction -fuzztime $(FUZZTIME) ./internal/dtd
 	$(GO) test -run xxx -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/dtd
 	$(GO) test -run xxx -fuzz FuzzTokenizerEquivalence -fuzztime $(FUZZTIME) ./internal/dtd
+	$(GO) test -run xxx -fuzz FuzzValidatorEquivalence -fuzztime $(FUZZTIME) ./internal/dtd
 	$(GO) test -run xxx -fuzz FuzzStreamEquivalence -fuzztime $(FUZZTIME) ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/sample
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/regex

@@ -257,22 +257,31 @@ func BenchmarkIngestOneDoc(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestDecoder contrasts the two XML decoder paths on the same
-// sequential ingestion workload: "fast" is the structure-only tokenizer
-// (the default), "std" the encoding/xml fallback kept as the
-// differential-testing oracle.
-func BenchmarkIngestDecoder(b *testing.B) {
-	docs, _ := corpusDocs(400)
-	for _, decoder := range []dtd.DecoderKind{dtd.DecoderFast, dtd.DecoderStd} {
-		b.Run(decoder.String(), func(b *testing.B) {
-			opts := &IngestOptions{Decoder: decoder}
-			for i := 0; i < b.N; i++ {
-				x := NewExtraction()
-				if _, err := x.AddDocsParallelContext(context.Background(), dtd.LabelDocs(docs()), 1, opts, dtd.FailFast); err != nil {
-					b.Fatal(err)
-				}
+// BenchmarkValidate measures validation: ValidateOptions under
+// DefaultIngestOptions over the ingestion benchmark's corpus, against the
+// DTD inferred from that corpus (inference is off the clock), so every
+// document is valid and read to the end.
+func BenchmarkValidate(b *testing.B) {
+	docs, docBytes := corpusDocs(400)
+	x := NewExtraction()
+	if _, err := x.AddDocsParallelContext(context.Background(), dtd.LabelDocs(docs()), 0, nil, dtd.FailFast); err != nil {
+		b.Fatal(err)
+	}
+	d, err := InferDTDFromExtraction(x, IDTD, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := NewValidator(d)
+	opts := DefaultIngestOptions()
+	b.ReportMetric(float64(docBytes), "corpus-bytes")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range docs() {
+			violations, err := v.ValidateOptions(r, opts)
+			if err != nil || len(violations) != 0 {
+				b.Fatalf("corpus document does not validate: %v %v", err, violations)
 			}
-		})
+		}
 	}
 }
 

@@ -28,13 +28,13 @@ func inferOutcome(x *Extraction, algo Algorithm) string {
 	return d.String()
 }
 
-func ingestBatch(t *testing.T, x *Extraction, docs []string, workers int, opts *IngestOptions) {
+func ingestBatch(t *testing.T, x *Extraction, docs []string, workers int, shape readShape) {
 	t.Helper()
 	batch := make([]dtd.Doc, len(docs))
 	for i, d := range docs {
-		batch[i] = dtd.Doc{Label: fmt.Sprintf("doc%d", i), R: strings.NewReader(d)}
+		batch[i] = dtd.Doc{Label: fmt.Sprintf("doc%d", i), R: shape.wrap(strings.NewReader(d))}
 	}
-	if _, err := x.AddDocsParallelContext(context.Background(), batch, workers, opts, FailFast); err != nil {
+	if _, err := x.AddDocsParallelContext(context.Background(), batch, workers, nil, FailFast); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -71,11 +71,11 @@ func TestIncrementalColdWarmIdentical(t *testing.T) {
 			var all []string
 			for bi, batch := range equivBatches() {
 				all = append(all, batch...)
-				ingestBatch(t, warm, batch, 1, nil)
+				ingestBatch(t, warm, batch, 1, wholeReads)
 				got := inferOutcome(warm, algo)
 
 				cold := NewExtraction()
-				ingestBatch(t, cold, all, 1, nil)
+				ingestBatch(t, cold, all, 1, wholeReads)
 				want := inferOutcome(cold, algo)
 				if got != want {
 					t.Fatalf("batch %d: warm differs from cold\nwarm: %s\ncold: %s", bi, got, want)
@@ -86,8 +86,8 @@ func TestIncrementalColdWarmIdentical(t *testing.T) {
 }
 
 // TestIncrementalInterleavedEquivalence is the property test across the
-// ingestion matrix: interleaved AddDocs/infer/AddDocs cycles on both
-// decoders and workers 1..8 must stay byte-identical to one-shot cold
+// ingestion matrix: interleaved AddDocs/infer/AddDocs cycles in both
+// read shapes and workers 1..8 must stay byte-identical to one-shot cold
 // inference at every step. IDTD and CRX cover every combination; every
 // registered engine runs at one combination to bound the runtime.
 func TestIncrementalInterleavedEquivalence(t *testing.T) {
@@ -97,24 +97,23 @@ func TestIncrementalInterleavedEquivalence(t *testing.T) {
 		append(corpus.Protein(1, 3), equivBatches()[2]...),
 	}
 	allAlgos := []Algorithm{IDTD, CRX, RewriteOnly, XTRACT, TrangLike, StateElim}
-	for _, dec := range []DecoderKind{DecoderFast, DecoderStd} {
+	for _, shape := range readShapes {
 		for _, workers := range []int{1, 2, 3, 8} {
 			algos := []Algorithm{IDTD, CRX}
-			if dec == DecoderFast && workers == 2 {
+			if shape.name == wholeReads.name && workers == 2 {
 				algos = allAlgos
 			}
-			opts := &IngestOptions{Decoder: dec}
 			for _, algo := range algos {
-				t.Run(fmt.Sprintf("%v/workers=%d/%s", dec, workers, algo), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/workers=%d/%s", shape.name, workers, algo), func(t *testing.T) {
 					warm := NewExtraction()
 					var all []string
 					for bi, batch := range batches {
 						all = append(all, batch...)
-						ingestBatch(t, warm, batch, workers, opts)
+						ingestBatch(t, warm, batch, workers, shape)
 						got := inferOutcome(warm, algo)
 
 						cold := NewExtraction()
-						ingestBatch(t, cold, all, 1, opts)
+						ingestBatch(t, cold, all, 1, shape)
 						want := inferOutcome(cold, algo)
 						if got != want {
 							t.Fatalf("batch %d: warm differs from cold\nwarm: %s\ncold: %s", bi, got, want)

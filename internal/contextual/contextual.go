@@ -17,7 +17,6 @@ package contextual
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -101,49 +100,37 @@ func (x *Extraction) Merge(o *Extraction) {
 }
 
 // extract runs the decode loop over one document, mutating x directly;
-// AddDocumentOptions runs it on a staging extraction for atomicity. The
-// token source is selected by opts.Decoder exactly as in package dtd:
-// the fast structure tokenizer by default, encoding/xml on DecoderStd.
+// AddDocumentOptions runs it on a staging extraction for atomicity. It
+// reads through dtd.DocReader, which enforces the byte, token and depth
+// caps; the names cap is kept here.
 func (x *Extraction) extract(r io.Reader, opts *dtd.IngestOptions) error {
-	var o dtd.IngestOptions
+	maxNames := 0
 	if opts != nil {
-		o = *opts
+		maxNames = opts.MaxNames
 	}
-	src := xmltok.NewSource(o.Decoder == dtd.DecoderStd)
-	src.Reset(dtd.MeterReader(r, o.MaxBytes))
+	rd := dtd.NewDocReader()
+	rd.Reset(r, opts)
 	type frame struct {
 		name     string
 		ctx      Context
 		children []string
 	}
 	var stack []frame
-	var tokens int64
 	names := map[string]bool{}
 	for {
-		kind, err := src.Next()
+		kind, err := rd.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			var le *dtd.LimitError
-			if errors.As(err, &le) {
-				return le
-			}
-			return fmt.Errorf("contextual: parsing XML: %w", err)
-		}
-		tokens++
-		if o.MaxTokens > 0 && tokens > o.MaxTokens {
-			return &dtd.LimitError{Limit: "tokens", Max: o.MaxTokens, Offset: src.InputOffset()}
+			return parseError(err)
 		}
 		switch kind {
 		case xmltok.StartElement:
-			if o.MaxDepth > 0 && len(stack) >= o.MaxDepth {
-				return &dtd.LimitError{Limit: "depth", Max: int64(o.MaxDepth), Offset: src.InputOffset()}
-			}
-			name := string(src.Name())
+			name := string(rd.Name())
 			if !names[name] {
-				if o.MaxNames > 0 && len(names) >= o.MaxNames {
-					return &dtd.LimitError{Limit: "names", Max: int64(o.MaxNames), Offset: src.InputOffset()}
+				if maxNames > 0 && len(names) >= maxNames {
+					return &dtd.LimitError{Limit: "names", Max: int64(maxNames), Offset: rd.InputOffset()}
 				}
 				names[name] = true
 			}
@@ -162,15 +149,21 @@ func (x *Extraction) extract(r io.Reader, opts *dtd.IngestOptions) error {
 			stack = stack[:len(stack)-1]
 			x.Sequences[top.ctx] = append(x.Sequences[top.ctx], top.children)
 		case xmltok.CharData:
-			if len(stack) > 0 && len(bytes.TrimSpace(src.Text())) != 0 {
+			if len(stack) > 0 && len(bytes.TrimSpace(rd.Text())) != 0 {
 				x.HasText[stack[len(stack)-1].ctx] = true
 			}
 		}
 	}
-	if len(stack) != 0 {
-		return fmt.Errorf("contextual: unbalanced XML document")
-	}
 	return nil
+}
+
+// parseError gives a dtd.DocReader error this package's message prefix;
+// a *dtd.LimitError passes through bare.
+func parseError(err error) error {
+	if _, ok := err.(*dtd.LimitError); ok {
+		return err
+	}
+	return fmt.Errorf("contextual: parsing XML: %w", err)
 }
 
 func (x *Extraction) context(ancestors []string, name string) Context {

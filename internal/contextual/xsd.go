@@ -195,11 +195,12 @@ func NewValidator(s *Schema) *Validator {
 }
 
 // Validate parses one document and returns the violations. It reads
-// the encoding/xml token source, so violation offsets are encoding/xml's
-// input offsets, like dtd.Validator's.
+// through dtd.DocReader like dtd.Validator, so violation offsets are the
+// same input offsets, and each call has its own reader: a Validator is
+// safe for concurrent use.
 func (v *Validator) Validate(r io.Reader) ([]dtd.Violation, error) {
-	src := xmltok.NewSource(true)
-	src.Reset(r)
+	rd := dtd.NewDocReader()
+	rd.Reset(r, nil)
 	type frame struct {
 		ctx      Context
 		children []string
@@ -208,19 +209,19 @@ func (v *Validator) Validate(r io.Reader) ([]dtd.Violation, error) {
 	var stack []frame
 	var out []dtd.Violation
 	report := func(element, reason string) {
-		out = append(out, dtd.Violation{Element: element, Offset: src.InputOffset(), Reason: reason})
+		out = append(out, dtd.Violation{Element: element, Offset: rd.InputOffset(), Reason: reason})
 	}
 	for {
-		kind, err := src.Next()
+		kind, err := rd.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return out, fmt.Errorf("contextual: parsing XML: %w", err)
+			return out, parseError(err)
 		}
 		switch kind {
 		case xmltok.StartElement:
-			name := string(src.Name())
+			name := string(rd.Name())
 			var ctx Context
 			if len(stack) == 0 {
 				if name != v.schema.Root {
@@ -241,13 +242,10 @@ func (v *Validator) Validate(r io.Reader) ([]dtd.Violation, error) {
 			stack = stack[:len(stack)-1]
 			v.check(top.ctx, top.children, top.text, report)
 		case xmltok.CharData:
-			if len(stack) > 0 && len(bytes.TrimSpace(src.Text())) != 0 {
+			if len(stack) > 0 && len(bytes.TrimSpace(rd.Text())) != 0 {
 				stack[len(stack)-1].text = true
 			}
 		}
-	}
-	if len(stack) != 0 {
-		return out, fmt.Errorf("contextual: unbalanced XML document")
 	}
 	return out, nil
 }

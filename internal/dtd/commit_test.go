@@ -42,7 +42,8 @@ func capDocs(n int) []string {
 // split into many tiny flush units, and the four-worker pipeline all
 // stage into units folded by commitShard, so comparing them with each
 // other only compares the fold with itself; each must equal the
-// reference instead, on both decoders, in the canonical snapshot bytes.
+// reference instead, in both read shapes, in the canonical snapshot
+// bytes.
 // The split runs ingest the corpus as three consecutive batches, so later
 // batches stage against a destination that already holds text samples
 // and attribute values.
@@ -72,17 +73,17 @@ func TestEveryWorkerCountMatchesReference(t *testing.T) {
 			}
 		}
 		want := snapshotBytes(t, ref)
-		for _, decoder := range []DecoderKind{DecoderFast, DecoderStd} {
+		for _, shape := range readShapes {
 			for _, run := range runs {
-				t.Run(fmt.Sprintf("%s/%s/%s", cname, decoder, run.name), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/%s", cname, shape.name, run.name), func(t *testing.T) {
 					if run.flushBytes > 0 {
 						withFlushBytes(t, run.flushBytes)
 					}
 					x := NewExtraction()
-					all := docList(docs)
+					all := shape.docs(docs)
 					for b := 0; b < run.batches; b++ {
 						part := all[b*len(all)/run.batches : (b+1)*len(all)/run.batches]
-						if _, err := x.AddDocsParallelContext(context.Background(), part, run.workers, &IngestOptions{Decoder: decoder}, FailFast); err != nil {
+						if _, err := x.AddDocsParallelContext(context.Background(), part, run.workers, nil, FailFast); err != nil {
 							t.Fatal(err)
 						}
 					}

@@ -3,17 +3,19 @@ package dtd
 import (
 	"context"
 	"errors"
+	"regexp"
 	"strings"
 	"testing"
 )
 
-// Differential testing of the two token sources: the stager on the fast
-// structure tokenizer (internal/xmltok) and on the encoding/xml source
-// must accept exactly the documents the reference encoding/xml
-// extraction (reference_test.go) accepts and produce byte-identical
-// extraction state on every accepted one. decoderEquivCorpus collects the structures the
-// extraction layer cares about plus the XML corners where the two
-// decoders could plausibly diverge.
+// Differential testing of the one event source: the stager, reading the
+// structure tokenizer (internal/xmltok) through the DocReader, must
+// accept exactly the documents the reference encoding/xml extraction
+// (reference_test.go) accepts, fail with the same error text up to the
+// known differences (errRewrites), and produce byte-identical extraction state on every
+// accepted one. decoderEquivCorpus collects the structures the
+// extraction layer cares about plus the XML corners where the tokenizer
+// and encoding/xml could plausibly diverge.
 var decoderEquivCorpus = []string{
 	// Plain structure.
 	`<a/>`,
@@ -44,6 +46,11 @@ var decoderEquivCorpus = []string{
 	`<r xmlns:z="xmlns"><c xmlns:z="" z:a="1"/></r>`,
 	`<a xml:lang="en" q:w="1"/>`,
 	`<a xmlns:xml2="xmlns" xml2:x="1"/>`,
+	`<a p:xmlns="v" q="1"/>`,
+	`<r xmlns:p="u"><c p:xmlns="v" p:q="1"/></r>`,
+	`<r xmlns:xml="xmlns"><c xml:a="1"/></r>`,
+	`<r xmlns:z="xmlns"><c xmlns:z="u"/><d z:b="2"/></r>`,
+	`<a xmlns:="u" b="1"/>`,
 	// Prefixed element names record their local part.
 	`<x:a xmlns:x="u"><x:b/><y:c/></x:a>`,
 	// Text: entities, char refs, CDATA, whitespace trimming, \r\n
@@ -94,10 +101,10 @@ var decoderEquivCorpus = []string{
 	`<a x="<"/>`,
 }
 
-// ingestWith runs one document through the one-worker batch on the
-// decoder opts selects into a fresh extraction, returning the
-// extraction, the decode stats (from the report) and the document's own
-// error, unwrapped from its *DocumentError.
+// ingestWith runs one document through the one-worker batch under opts
+// into a fresh extraction, returning the extraction, the decode stats
+// (from the report) and the document's own error, unwrapped from its
+// *DocumentError.
 func ingestWith(t *testing.T, doc string, opts *IngestOptions) (*Extraction, docStats, error) {
 	t.Helper()
 	x := NewExtraction()
@@ -109,38 +116,71 @@ func ingestWith(t *testing.T, doc string, opts *IngestOptions) (*Extraction, doc
 	return x, docStats{bytes: report.Bytes, tokens: report.Tokens, elements: report.Elements}, err
 }
 
-// checkDecoderEquivalence asserts that the stager on the fast source,
-// the stager on the std source and the reference encoding/xml extraction
-// (refIngest) agree on one document under the given caps: identical
-// acceptance, and on acceptance identical extraction state and identical
+// errRewrites mask the known differences between the tokenizer's and
+// encoding/xml's error messages, applied to both sides before comparing:
+// the location (encoding/xml reports a syntax error "on line N", the
+// tokenizer "at offset N"), and the wording of three errors — the two
+// <?xml?> declaration errors (the tokenizer says "xmltok:" and "only
+// utf-8 is supported" where encoding/xml names its Decoder.CharsetReader
+// hook) and an end tag whose prefix differs from its start tag's.
+var errRewrites = []struct {
+	re   *regexp.Regexp
+	with string
+}{
+	{regexp.MustCompile(`(on line|at offset) [0-9]+`), "@"},
+	{regexp.MustCompile(`xmltok: `), "xml: "},
+	{regexp.MustCompile(`Decoder\.CharsetReader is nil`), "only utf-8 is supported"},
+	{regexp.MustCompile(`element <([^>]*)> in space .*closed by </([^>]*)> in space \S+`),
+		"element <$1> closed by </$2> in another namespace prefix"},
+}
+
+// sameErrorText reports whether two errors read the same once the known
+// differences are masked.
+func sameErrorText(a, b error) bool {
+	norm := func(err error) string {
+		s := err.Error()
+		for _, r := range errRewrites {
+			s = r.re.ReplaceAllString(s, r.with)
+		}
+		return s
+	}
+	return norm(a) == norm(b)
+}
+
+// bytesLimit reports whether err is a violated MaxBytes cap. Where it
+// fires depends on the reader's buffer (the tokenizer reads 8 KiB at a
+// time, encoding/xml's bufio 4 KiB), so within one buffer of the cap the
+// two can report the cap and a later syntax error the other way round;
+// both still reject.
+func bytesLimit(err error) bool {
+	var le *LimitError
+	return errors.As(err, &le) && le.Limit == "bytes"
+}
+
+// checkDecoderEquivalence asserts that the stager and the reference
+// encoding/xml extraction (refIngest) agree on one document under the
+// given caps: identical acceptance, the same error text up to the known
+// differences, and on acceptance identical extraction state and identical
 // byte/token/element counts.
 func checkDecoderEquivalence(t *testing.T, doc string, caps IngestOptions) {
 	t.Helper()
-	fastOpts, stdOpts := caps, caps
-	fastOpts.Decoder = DecoderFast
-	stdOpts.Decoder = DecoderStd
-	xf, sf, errF := ingestWith(t, doc, &fastOpts)
-	xs, ss, errS := ingestWith(t, doc, &stdOpts)
+	xf, sf, errF := ingestWith(t, doc, &caps)
 	xr := NewExtraction()
 	sr, errR := refIngest(context.Background(), xr, strings.NewReader(doc), &caps)
-	if (errF == nil) != (errR == nil) || (errS == nil) != (errR == nil) {
-		t.Fatalf("acceptance differs for %q:\nfast: %v\nstd:  %v\nref:  %v", doc, errF, errS, errR)
-	}
-	if errS != nil && errS.Error() != errR.Error() {
-		t.Fatalf("std source error differs from reference for %q:\nstd: %v\nref: %v", doc, errS, errR)
+	if (errF == nil) != (errR == nil) {
+		t.Fatalf("acceptance differs for %q:\nstager: %v\nref:    %v", doc, errF, errR)
 	}
 	if errF != nil {
+		if !bytesLimit(errF) && !bytesLimit(errR) && !sameErrorText(errF, errR) {
+			t.Fatalf("error differs from reference for %q:\nstager: %v\nref:    %v", doc, errF, errR)
+		}
 		return
 	}
-	want := snapshot(xr)
-	if got := snapshot(xf); got != want {
-		t.Fatalf("fast extraction state differs for %q:\nfast:\n%s\nref:\n%s", doc, got, want)
+	if got, want := snapshot(xf), snapshot(xr); got != want {
+		t.Fatalf("extraction state differs for %q:\nstager:\n%s\nref:\n%s", doc, got, want)
 	}
-	if got := snapshot(xs); got != want {
-		t.Fatalf("std extraction state differs for %q:\nstd:\n%s\nref:\n%s", doc, got, want)
-	}
-	if sf != sr || ss != sr {
-		t.Fatalf("decode stats differ for %q: fast=%+v std=%+v ref=%+v", doc, sf, ss, sr)
+	if sf != sr {
+		t.Fatalf("decode stats differ for %q: stager=%+v ref=%+v", doc, sf, sr)
 	}
 }
 
@@ -152,50 +192,45 @@ func TestFastDecoderEquivalence(t *testing.T) {
 	}
 }
 
-// TestFastDecoderBatchEquivalence ingests the whole corpus as one batch
-// per decoder, exercising the stager's cross-document staging reuse
-// (epoch resets, leftover state from rejected documents) that single-
-// document runs cannot reach, and holds both to the reference loop.
+// TestFastDecoderBatchEquivalence ingests the whole corpus as one batch,
+// exercising the stager's cross-document staging reuse (epoch resets,
+// leftover state from rejected documents, namespace bindings left open by
+// a failed document) that single-document runs cannot reach, and holds
+// it to the reference loop.
 func TestFastDecoderBatchEquivalence(t *testing.T) {
-	batch := func(d DecoderKind) (*Extraction, *IngestReport) {
-		x := NewExtraction()
-		docs := make([]Doc, len(decoderEquivCorpus))
-		for i, s := range decoderEquivCorpus {
-			docs[i] = Doc{Label: "doc", R: strings.NewReader(s)}
-		}
-		report, err := x.AddDocsParallelContext(context.Background(), docs, 1, &IngestOptions{Decoder: d}, SkipAndRecord)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return x, report
+	x := NewExtraction()
+	docs := make([]Doc, len(decoderEquivCorpus))
+	for i, s := range decoderEquivCorpus {
+		docs[i] = Doc{Label: "doc", R: strings.NewReader(s)}
 	}
-	xf, rf := batch(DecoderFast)
-	xs, rs := batch(DecoderStd)
-	if rf.Accepted != rs.Accepted || rf.Rejected != rs.Rejected {
-		t.Fatalf("batch acceptance differs: fast %d/%d, std %d/%d",
-			rf.Accepted, rf.Rejected, rs.Accepted, rs.Rejected)
-	}
-	if rf.Tokens != rs.Tokens || rf.Elements != rs.Elements {
-		t.Fatalf("batch counters differ: fast tokens=%d elements=%d, std tokens=%d elements=%d",
-			rf.Tokens, rf.Elements, rs.Tokens, rs.Elements)
-	}
-	if got, want := snapshot(xf), snapshot(xs); got != want {
-		t.Fatalf("batch extraction state differs:\nfast:\n%s\nstd:\n%s", got, want)
+	report, err := x.AddDocsParallelContext(context.Background(), docs, 1, nil, SkipAndRecord)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// The reference loop over the same batch, skipping rejections.
 	xr := NewExtraction()
+	var accepted int
+	var tokens, elements int64
 	for _, s := range decoderEquivCorpus {
-		refIngest(context.Background(), xr, strings.NewReader(s), nil)
+		if stats, err := refIngest(context.Background(), xr, strings.NewReader(s), nil); err == nil {
+			accepted++
+			tokens += stats.tokens
+			elements += stats.elements
+		}
 	}
-	if got, want := snapshot(xf), snapshot(xr); got != want {
+	if report.Accepted != accepted || report.Tokens != tokens || report.Elements != elements {
+		t.Fatalf("batch counters differ: stager accepted=%d tokens=%d elements=%d, ref accepted=%d tokens=%d elements=%d",
+			report.Accepted, report.Tokens, report.Elements, accepted, tokens, elements)
+	}
+	if got, want := snapshot(x), snapshot(xr); got != want {
 		t.Fatalf("batch extraction state differs from reference:\nstager:\n%s\nref:\n%s", got, want)
 	}
 }
 
-// FuzzTokenizerEquivalence feeds the same bytes through the fast
-// tokenizer path and the encoding/xml path and requires identical
-// acceptance and, on acceptance, identical extraction state — both
-// uncapped and under tight resource caps. Run with
+// FuzzTokenizerEquivalence feeds the same bytes through the stager and
+// the reference encoding/xml loop and requires identical acceptance, the
+// same error text up to the known differences and, on acceptance, identical
+// extraction state — both uncapped and under tight resource caps. Run with
 // -fuzz=FuzzTokenizerEquivalence; as a unit test it replays the seeds.
 func FuzzTokenizerEquivalence(f *testing.F) {
 	for _, seed := range decoderEquivCorpus {

@@ -228,46 +228,43 @@ func TestCachedInferenceInvalidate(t *testing.T) {
 	assertTally(t, "invalidated pass", x, s)
 }
 
-// TestDirtyTrackingAcrossIngestionPaths: every ingestion path — std and
-// fast decoders, sequential and parallel — must mark the same elements
-// dirty for the same corpus delta.
+// TestDirtyTrackingAcrossIngestionPaths: every ingestion path —
+// sequential and parallel — must mark the same elements dirty for the
+// same corpus delta.
 func TestDirtyTrackingAcrossIngestionPaths(t *testing.T) {
 	base := []string{
 		`<r><a><c/></a><b>text</b></r>`,
 		`<r><a><c/></a><b>more</b></r>`,
 	}
 	update := `<r><a><c/><c/></a><b>again</b></r>` // new shape for a only
-	for _, dec := range []DecoderKind{DecoderFast, DecoderStd} {
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("%v/workers=%d", dec, workers)
-			opts := &IngestOptions{Decoder: dec}
-			x := NewExtraction()
-			ingest := func(doc ...string) {
-				docs := make([]Doc, len(doc))
-				for i, d := range doc {
-					docs[i] = Doc{Label: fmt.Sprintf("doc%d", i), R: strings.NewReader(d)}
-				}
-				if _, err := x.AddDocsParallelContext(context.Background(), docs, workers, opts, FailFast); err != nil {
-					t.Fatal(err)
-				}
+	for _, workers := range []int{1, 4} {
+		name := fmt.Sprintf("workers=%d", workers)
+		x := NewExtraction()
+		ingest := func(doc ...string) {
+			docs := make([]Doc, len(doc))
+			for i, d := range doc {
+				docs[i] = Doc{Label: fmt.Sprintf("doc%d", i), R: strings.NewReader(d)}
 			}
-			ingest(base...)
-			want := []string{"a", "b", "c", "r"}
-			if got := x.DirtyElements(); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: initial dirty = %v, want %v", name, got, want)
-			}
-			var calls atomic.Int64
-			if _, _, err := x.InferDTD(context.Background(), CacheConfig{Key: "t"}, countingInferrer(&calls)); err != nil {
+			if _, err := x.AddDocsParallelContext(context.Background(), docs, workers, nil, FailFast); err != nil {
 				t.Fatal(err)
 			}
-			ingest(base[0]) // already-seen shapes only
-			if got := x.DirtyElements(); len(got) != 0 {
-				t.Errorf("%s: repeat doc marked dirty: %v", name, got)
-			}
-			ingest(update)
-			if got := x.DirtyElements(); !reflect.DeepEqual(got, []string{"a"}) {
-				t.Errorf("%s: update dirty = %v, want [a]", name, got)
-			}
+		}
+		ingest(base...)
+		want := []string{"a", "b", "c", "r"}
+		if got := x.DirtyElements(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: initial dirty = %v, want %v", name, got, want)
+		}
+		var calls atomic.Int64
+		if _, _, err := x.InferDTD(context.Background(), CacheConfig{Key: "t"}, countingInferrer(&calls)); err != nil {
+			t.Fatal(err)
+		}
+		ingest(base[0]) // already-seen shapes only
+		if got := x.DirtyElements(); len(got) != 0 {
+			t.Errorf("%s: repeat doc marked dirty: %v", name, got)
+		}
+		ingest(update)
+		if got := x.DirtyElements(); !reflect.DeepEqual(got, []string{"a"}) {
+			t.Errorf("%s: update dirty = %v, want [a]", name, got)
 		}
 	}
 }

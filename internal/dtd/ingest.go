@@ -41,43 +41,6 @@ type IngestOptions struct {
 	MaxNames int
 	// MaxBytes caps the bytes read from one document (0 = unlimited).
 	MaxBytes int64
-	// Decoder selects the XML decoder driving extraction. The zero value
-	// (DecoderFast) is the structure-only tokenizer; DecoderStd selects
-	// encoding/xml, kept as a selectable fallback token source.
-	Decoder DecoderKind
-}
-
-// DecoderKind selects which XML decoder extraction runs on.
-type DecoderKind int
-
-const (
-	// DecoderFast is the purpose-built zero-copy structure tokenizer
-	// (internal/xmltok) — the default.
-	DecoderFast DecoderKind = iota
-	// DecoderStd is the encoding/xml decoder, adapted to the tokenizer's
-	// token shape and retained as a selectable fallback.
-	DecoderStd
-)
-
-func (d DecoderKind) String() string {
-	switch d {
-	case DecoderFast:
-		return "fast"
-	case DecoderStd:
-		return "std"
-	}
-	return fmt.Sprintf("DecoderKind(%d)", int(d))
-}
-
-// ParseDecoder parses a -decoder flag value ("fast" or "std").
-func ParseDecoder(s string) (DecoderKind, error) {
-	switch s {
-	case "fast":
-		return DecoderFast, nil
-	case "std":
-		return DecoderStd, nil
-	}
-	return 0, fmt.Errorf("dtd: unknown decoder %q (want fast or std)", s)
 }
 
 // DefaultIngestOptions returns caps suitable for untrusted inputs:
@@ -111,29 +74,6 @@ func (e *LimitError) Error() string {
 
 // Is makes errors.Is(err, ErrLimit) true for every cap violation.
 func (e *LimitError) Is(target error) bool { return target == ErrLimit }
-
-// meteredReader counts bytes and fails the stream once max is exceeded.
-type meteredReader struct {
-	r   io.Reader
-	n   int64
-	max int64 // 0 = unlimited
-}
-
-func (m *meteredReader) Read(p []byte) (int, error) {
-	n, err := m.r.Read(p)
-	m.n += int64(n)
-	if m.max > 0 && m.n > m.max {
-		return n, &LimitError{Limit: "bytes", Max: m.max, Offset: m.n}
-	}
-	return n, err
-}
-
-// MeterReader wraps r so that reading more than max bytes fails the
-// stream with a *LimitError (max <= 0 reads without limit). Exported for
-// sibling packages that run their own decode loops under the same caps.
-func MeterReader(r io.Reader, max int64) io.Reader {
-	return &meteredReader{r: r, max: max}
-}
 
 // ErrorPolicy selects how a batch reacts to a failing document.
 type ErrorPolicy int
@@ -285,7 +225,7 @@ func LabelDocs(docs []io.Reader) []Doc {
 func (x *Extraction) addDocsInline(ctx context.Context, docs []Doc, opts *IngestOptions, policy ErrorPolicy) (*IngestReport, error) {
 	report := &IngestReport{}
 	target := x.batchTarget(ctx)
-	st := newStager(opts)
+	st := newStager()
 	st.textHeld = target.heldTexts()
 	var wc workerCommit
 	fold := func() {

@@ -209,13 +209,11 @@ func TestIngestLimits(t *testing.T) {
 		{"defaults accept sane documents", wide, *DefaultIngestOptions(), ""},
 	}
 	for _, tc := range tests {
-		// The cap/XML-bomb corpus must hold under both decoders.
-		for _, decoder := range []DecoderKind{DecoderFast, DecoderStd} {
-			opts := tc.opts
-			opts.Decoder = decoder
-			t.Run(tc.name+"/"+decoder.String(), func(t *testing.T) {
+		// The cap/XML-bomb corpus must hold in both read shapes.
+		for _, shape := range readShapes {
+			t.Run(tc.name+"/"+shape.name, func(t *testing.T) {
 				x := NewExtraction()
-				err := x.AddDocumentOptions(strings.NewReader(tc.doc), &opts)
+				err := x.AddDocumentOptions(shape.wrap(strings.NewReader(tc.doc)), &tc.opts)
 				if tc.limit == "" {
 					if err != nil {
 						t.Fatalf("want accept, got %v", err)

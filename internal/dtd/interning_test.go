@@ -62,16 +62,15 @@ func symbolTable(s *sample.Set) []string {
 // this also races the worker-local tables against each other.
 func TestParallelInternIDsIdenticalAcrossWorkerCounts(t *testing.T) {
 	docs := genInternCorpus(99, 120)
-	for _, decoder := range []DecoderKind{DecoderFast, DecoderStd} {
-		t.Run(decoder.String(), func(t *testing.T) {
-			opts := &IngestOptions{Decoder: decoder}
+	for _, shape := range readShapes {
+		t.Run(shape.name, func(t *testing.T) {
 			seq := NewExtraction()
-			if _, err := seq.AddDocsParallelContext(context.Background(), docList(docs), 1, opts, SkipAndRecord); err != nil {
+			if _, err := seq.AddDocsParallelContext(context.Background(), shape.docs(docs), 1, nil, SkipAndRecord); err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 3, 5, 8, 16} {
 				par := NewExtraction()
-				if _, err := par.AddDocsParallelContext(context.Background(), docList(docs), workers, opts, SkipAndRecord); err != nil {
+				if _, err := par.AddDocsParallelContext(context.Background(), shape.docs(docs), workers, nil, SkipAndRecord); err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				for name, want := range seq.Sequences {
@@ -107,12 +106,11 @@ func textCorpus(n int) []string {
 // maxTextSamples in document order, the element is flagged, unaffected
 // elements are not, and the batch report surfaces the count.
 func TestTextOverflowFlag(t *testing.T) {
-	for _, decoder := range []DecoderKind{DecoderFast, DecoderStd} {
-		t.Run(decoder.String(), func(t *testing.T) {
-			opts := &IngestOptions{Decoder: decoder}
+	for _, shape := range readShapes {
+		t.Run(shape.name, func(t *testing.T) {
 
 			x := NewExtraction()
-			report, err := x.AddDocsParallelContext(context.Background(), docList(textCorpus(maxTextSamples+30)), 1, opts, SkipAndRecord)
+			report, err := x.AddDocsParallelContext(context.Background(), shape.docs(textCorpus(maxTextSamples+30)), 1, nil, SkipAndRecord)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +133,7 @@ func TestTextOverflowFlag(t *testing.T) {
 
 			// Exactly at the cap: complete, so no flag.
 			atCap := NewExtraction()
-			report, err = atCap.AddDocsParallelContext(context.Background(), docList(textCorpus(maxTextSamples)), 1, opts, SkipAndRecord)
+			report, err = atCap.AddDocsParallelContext(context.Background(), shape.docs(textCorpus(maxTextSamples)), 1, nil, SkipAndRecord)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,17 +149,16 @@ func TestTextOverflowFlag(t *testing.T) {
 // sharded path bit-for-bit: same flags, same kept samples, same report.
 func TestTextOverflowParallelMatchesSequential(t *testing.T) {
 	docs := textCorpus(maxTextSamples + 41)
-	for _, decoder := range []DecoderKind{DecoderFast, DecoderStd} {
-		t.Run(decoder.String(), func(t *testing.T) {
-			opts := &IngestOptions{Decoder: decoder}
+	for _, shape := range readShapes {
+		t.Run(shape.name, func(t *testing.T) {
 			seq := NewExtraction()
-			seqReport, err := seq.AddDocsParallelContext(context.Background(), docList(docs), 1, opts, SkipAndRecord)
+			seqReport, err := seq.AddDocsParallelContext(context.Background(), shape.docs(docs), 1, nil, SkipAndRecord)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 8} {
 				par := NewExtraction()
-				parReport, err := par.AddDocsParallelContext(context.Background(), docList(docs), workers, opts, SkipAndRecord)
+				parReport, err := par.AddDocsParallelContext(context.Background(), shape.docs(docs), workers, nil, SkipAndRecord)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}

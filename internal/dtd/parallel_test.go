@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // genDocs produces a deterministic synthetic corpus exercising sequences,
@@ -43,6 +44,30 @@ func docList(docs []string) []Doc {
 	return out
 }
 
+// readShape is how a test hands its documents to the reader. The two
+// shapes keep the subtest names of the two decoders they replaced
+// ("fast", "std"); both run the one tokenizer. "fast" hands each document
+// over in whole reads, "std" one byte per Read, so a property tested over
+// both also holds when every token straddles a read boundary.
+type readShape struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}
+
+var readShapes = []readShape{
+	{"fast", func(r io.Reader) io.Reader { return r }},
+	{"std", iotest.OneByteReader},
+}
+
+// docs labels docs like docList and delivers them in this shape.
+func (s readShape) docs(docs []string) []Doc {
+	out := docList(docs)
+	for i := range out {
+		out[i].R = s.wrap(out[i].R)
+	}
+	return out
+}
+
 // reportString renders a report including every error, for byte-level
 // determinism comparison. The pipeline stage timings are stripped: they
 // are wall-clock measurements, deliberately outside the deterministic
@@ -55,17 +80,16 @@ func reportString(r *IngestReport) string {
 
 func TestParallelExtractionIdenticalToSequential(t *testing.T) {
 	docs := genDocs(11, 150)
-	for _, decoder := range []DecoderKind{DecoderFast, DecoderStd} {
-		t.Run(decoder.String(), func(t *testing.T) {
-			opts := &IngestOptions{Decoder: decoder}
+	for _, shape := range readShapes {
+		t.Run(shape.name, func(t *testing.T) {
 			seq := NewExtraction()
-			seqReport, err := seq.AddDocsParallelContext(context.Background(), docList(docs), 1, opts, SkipAndRecord)
+			seqReport, err := seq.AddDocsParallelContext(context.Background(), shape.docs(docs), 1, nil, SkipAndRecord)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{0, 1, 2, 3, 8, 64} {
 				par := NewExtraction()
-				parReport, err := par.AddDocsParallelContext(context.Background(), docList(docs), workers, opts, SkipAndRecord)
+				parReport, err := par.AddDocsParallelContext(context.Background(), shape.docs(docs), workers, nil, SkipAndRecord)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}

@@ -187,7 +187,7 @@ func (p *pipeline) release(m stageMsg) {
 // waiting for a token abandons its shard unshipped — the committer is in
 // drain mode by then and the batch result is discarded anyway.
 func (p *pipeline) worker(w int) {
-	st := newStager(p.opts)
+	st := newStager()
 	st.textHeld = p.textHeld
 	tokens := p.inflight[w]
 	for {

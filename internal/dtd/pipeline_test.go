@@ -121,19 +121,18 @@ func TestPipelineCommitFaultLeavesCorpusUntouched(t *testing.T) {
 // pipeline.commit stalls the committer so units demonstrably queue up
 // behind it when the cancellation lands.
 func TestPipelineCancelWithUnitsInCommitChannel(t *testing.T) {
-	for _, decoder := range []DecoderKind{DecoderFast, DecoderStd} {
-		t.Run(decoder.String(), func(t *testing.T) {
+	for _, shape := range readShapes {
+		t.Run(shape.name, func(t *testing.T) {
 			defer faultinject.Reset()
-			opts := &IngestOptions{Decoder: decoder}
 			x := NewExtraction()
-			if _, err := x.AddDocsParallelContext(context.Background(), docList(genDocs(17, 8)), 1, opts, FailFast); err != nil {
+			if _, err := x.AddDocsParallelContext(context.Background(), shape.docs(genDocs(17, 8)), 1, nil, FailFast); err != nil {
 				t.Fatal(err)
 			}
 			before := snapshot(x)
 			faultinject.Set("pipeline.commit", "", faultinject.Fault{Delay: 50 * time.Millisecond})
-			docs := docList(genDocs(19, 120))
+			docs := shape.docs(genDocs(19, 120))
 			err := runCancelled(t, func(ctx context.Context) error {
-				_, err := x.AddDocsParallelContext(ctx, docs, 4, opts, SkipAndRecord)
+				_, err := x.AddDocsParallelContext(ctx, docs, 4, nil, SkipAndRecord)
 				return err
 			})
 			if !errors.Is(err, context.Canceled) {
@@ -152,19 +151,18 @@ func TestPipelineCancelWithUnitsInCommitChannel(t *testing.T) {
 // and merging it into a pre-populated corpus must match sequential
 // ingestion into the same corpus.
 func TestPipelineCancellableContextByteIdentical(t *testing.T) {
-	for _, decoder := range []DecoderKind{DecoderFast, DecoderStd} {
-		t.Run(decoder.String(), func(t *testing.T) {
-			opts := &IngestOptions{Decoder: decoder}
+	for _, shape := range readShapes {
+		t.Run(shape.name, func(t *testing.T) {
 			docs := genDocs(41, 120)
 			seq := NewExtraction()
-			seqReport, err := seq.AddDocsParallelContext(context.Background(), docList(docs), 1, opts, SkipAndRecord)
+			seqReport, err := seq.AddDocsParallelContext(context.Background(), shape.docs(docs), 1, nil, SkipAndRecord)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 8} {
 				ctx, cancel := context.WithCancel(context.Background())
 				par := NewExtraction()
-				parReport, err := par.AddDocsParallelContext(ctx, docList(docs), workers, opts, SkipAndRecord)
+				parReport, err := par.AddDocsParallelContext(ctx, shape.docs(docs), workers, nil, SkipAndRecord)
 				cancel()
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
@@ -180,19 +178,19 @@ func TestPipelineCancellableContextByteIdentical(t *testing.T) {
 			// Merge path: same prefix on both sides, then the batch.
 			prefix := genDocs(43, 15)
 			seq2 := NewExtraction()
-			if _, err := seq2.AddDocsParallelContext(context.Background(), docList(prefix), 1, opts, FailFast); err != nil {
+			if _, err := seq2.AddDocsParallelContext(context.Background(), shape.docs(prefix), 1, nil, FailFast); err != nil {
 				t.Fatal(err)
 			}
 			par2 := NewExtraction()
-			if _, err := par2.AddDocsParallelContext(context.Background(), docList(prefix), 1, opts, FailFast); err != nil {
+			if _, err := par2.AddDocsParallelContext(context.Background(), shape.docs(prefix), 1, nil, FailFast); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := seq2.AddDocsParallelContext(context.Background(), docList(docs), 1, opts, SkipAndRecord); err != nil {
+			if _, err := seq2.AddDocsParallelContext(context.Background(), shape.docs(docs), 1, nil, SkipAndRecord); err != nil {
 				t.Fatal(err)
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			if _, err := par2.AddDocsParallelContext(ctx, docList(docs), 4, opts, SkipAndRecord); err != nil {
+			if _, err := par2.AddDocsParallelContext(ctx, shape.docs(docs), 4, nil, SkipAndRecord); err != nil {
 				t.Fatal(err)
 			}
 			if snapshot(seq2) != snapshot(par2) {

@@ -7,13 +7,14 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"dtdinfer/internal/xmltok"
 )
 
-// The reference extraction: the encoding/xml decode loop production
-// ingestion ran before both decoders became token sources for one
-// stager. It is kept verbatim as test code so the decoder-equivalence
-// suites can hold the stager, on either source, to the extraction it
-// replaced.
+// The references: the encoding/xml decode loops production ingestion and
+// validation ran before the tokenizer became the one XML event source.
+// They are kept as test code so the equivalence suites can hold the
+// stager and the Validator to the loops they replaced.
 
 // refIngest ingests one document through the reference loop into x,
 // failure-atomically: stage into a scratch extraction plus verbatim
@@ -223,4 +224,95 @@ func (x *Extraction) recordAttribute(a attObs) {
 	}
 	st.values[a.value]++
 	x.attFpAdd(a.elem, attValueHash(hval, a.value), 1)
+}
+
+// refValidate is Validator.ValidateOptions as it ran on encoding/xml:
+// the same decode loop and caps, with the namespace-declaration filter
+// the old attribute check applied (resolved Name.Space "xmlns", or local
+// name "xmlns") before the shared attribute rules.
+func (v *Validator) refValidate(r io.Reader, opts *IngestOptions) ([]Violation, error) {
+	var o IngestOptions
+	if opts != nil {
+		o = *opts
+	}
+	mr := &meteredReader{r: r, max: o.MaxBytes}
+	dec := xml.NewDecoder(mr)
+	type frame struct {
+		name     string
+		children []string
+		text     bool
+	}
+	var stack []frame
+	var out []Violation
+	var tokens int64
+	seenIDs := map[string]bool{}
+	var pendingRefs []idref
+	report := func(name, reason string) {
+		out = append(out, Violation{Element: name, Offset: dec.InputOffset(), Reason: reason})
+	}
+	for {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			var le *LimitError
+			if errors.As(err, &le) {
+				return out, le
+			}
+			return out, fmt.Errorf("dtd: parsing XML: %w", err)
+		}
+		tokens++
+		if o.MaxTokens > 0 && tokens > o.MaxTokens {
+			return out, &LimitError{Limit: "tokens", Max: o.MaxTokens, Offset: dec.InputOffset()}
+		}
+		switch t := tok.(type) {
+		case xml.StartElement:
+			if o.MaxDepth > 0 && len(stack) >= o.MaxDepth {
+				return out, &LimitError{Limit: "depth", Max: int64(o.MaxDepth), Offset: dec.InputOffset()}
+			}
+			name := t.Name.Local
+			if len(stack) == 0 && name != v.dtd.Root {
+				report(name, fmt.Sprintf("root is %s, DTD expects %s", name, v.dtd.Root))
+			}
+			if _, ok := v.dtd.Elements[name]; !ok {
+				report(name, "element not declared in DTD")
+			}
+			var attrs []xmltok.Attr
+			for _, attr := range t.Attr {
+				if attr.Name.Space == "xmlns" || attr.Name.Local == "xmlns" {
+					continue
+				}
+				attrs = append(attrs, xmltok.Attr{Local: []byte(attr.Name.Local), Value: []byte(attr.Value)})
+			}
+			pendingRefs = v.checkAttributes(name, attrs, seenIDs, pendingRefs, dec.InputOffset(), report)
+			if len(stack) > 0 {
+				stack[len(stack)-1].children = append(stack[len(stack)-1].children, name)
+			}
+			stack = append(stack, frame{name: name})
+		case xml.EndElement:
+			top := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			v.check(top.name, top.children, top.text, report)
+		case xml.CharData:
+			if len(stack) > 0 && strings.TrimSpace(string(t)) != "" {
+				stack[len(stack)-1].text = true
+			}
+		}
+	}
+	if len(stack) != 0 {
+		return out, fmt.Errorf("dtd: unbalanced XML document")
+	}
+	// IDREFs resolve against the full document's ID set.
+	for _, ref := range pendingRefs {
+		if !seenIDs[ref.value] {
+			out = append(out, Violation{
+				Element: ref.element,
+				Offset:  ref.offset,
+				Reason: fmt.Sprintf("IDREF attribute %s value %q does not match any ID in the document",
+					ref.attribute, ref.value),
+			})
+		}
+	}
+	return out, nil
 }

@@ -22,12 +22,18 @@ var snapshotCorpus = []string{
 	`<alt><rec id="a4" kind="y"><name>n5</name></rec></alt>`,
 }
 
-func buildSnapshotExtraction(t *testing.T, decoder DecoderKind) *Extraction {
+func buildSnapshotExtraction(t *testing.T) *Extraction {
+	t.Helper()
+	return buildShapedSnapshotExtraction(t, readShapes[0])
+}
+
+// buildShapedSnapshotExtraction ingests snapshotCorpus one document at a
+// time, delivered in the given read shape.
+func buildShapedSnapshotExtraction(t *testing.T, shape readShape) *Extraction {
 	t.Helper()
 	x := NewExtraction()
-	opts := &IngestOptions{Decoder: decoder}
 	for _, doc := range snapshotCorpus {
-		if err := x.AddDocumentOptions(strings.NewReader(doc), opts); err != nil {
+		if err := x.AddDocument(shape.wrap(strings.NewReader(doc))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,13 +58,13 @@ func loadSnapshot(t *testing.T, data []byte) *Extraction {
 	return x
 }
 
-// TestSnapshotRoundTripIdentical pins the losslessness contract for
-// both decoders: the loaded extraction renders identically, infers a
+// TestSnapshotRoundTripIdentical pins the losslessness contract in
+// both read shapes: the loaded extraction renders identically, infers a
 // byte-identical DTD, and re-saves to byte-identical bytes.
 func TestSnapshotRoundTripIdentical(t *testing.T) {
-	for _, dec := range []DecoderKind{DecoderFast, DecoderStd} {
-		t.Run(dec.String(), func(t *testing.T) {
-			x := buildSnapshotExtraction(t, dec)
+	for _, shape := range readShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			x := buildShapedSnapshotExtraction(t, shape)
 			data := saveSnapshot(t, x)
 			loaded := loadSnapshot(t, data)
 			if got, want := snapshot(loaded), snapshot(x); got != want {
@@ -86,25 +92,30 @@ func TestSnapshotRoundTripIdentical(t *testing.T) {
 }
 
 // TestSnapshotSaveDeterministic pins the canonical encoding: saving the
-// same extraction twice yields identical bytes, and extractions built
-// by the two decoders (whose internal map histories differ) save to
-// identical bytes too.
+// same extraction twice yields identical bytes, and the stager's
+// extraction and the reference encoding/xml extraction (whose internal
+// map histories differ) save to identical bytes too.
 func TestSnapshotSaveDeterministic(t *testing.T) {
-	fast := buildSnapshotExtraction(t, DecoderFast)
-	std := buildSnapshotExtraction(t, DecoderStd)
-	a := saveSnapshot(t, fast)
-	if b := saveSnapshot(t, fast); !bytes.Equal(a, b) {
+	x := buildSnapshotExtraction(t)
+	ref := NewExtraction()
+	for _, doc := range snapshotCorpus {
+		if _, err := refIngest(context.Background(), ref, strings.NewReader(doc), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := saveSnapshot(t, x)
+	if b := saveSnapshot(t, x); !bytes.Equal(a, b) {
 		t.Fatal("two saves of one extraction differ")
 	}
-	if c := saveSnapshot(t, std); !bytes.Equal(a, c) {
-		t.Fatal("fast- and std-decoder extractions save differently")
+	if c := saveSnapshot(t, ref); !bytes.Equal(a, c) {
+		t.Fatal("stager and reference extractions save differently")
 	}
 }
 
 // TestSnapshotDirtyStatePersisted: a never-inferred extraction saves
 // its full dirty set; a post-inference save is clean.
 func TestSnapshotDirtyStatePersisted(t *testing.T) {
-	x := buildSnapshotExtraction(t, DecoderFast)
+	x := buildSnapshotExtraction(t)
 	dirty := x.DirtyElements()
 	if len(dirty) == 0 {
 		t.Fatal("fresh extraction has no dirty elements")
@@ -130,7 +141,7 @@ func TestSnapshotDirtyStatePersisted(t *testing.T) {
 // the content models and the <!ATTLIST> declarations on the loaded
 // extraction without running any engine.
 func TestSnapshotKeepsInferenceWarm(t *testing.T) {
-	x := buildSnapshotExtraction(t, DecoderFast)
+	x := buildSnapshotExtraction(t)
 	cfg := CacheConfig{Key: "test"}
 	var calls atomic.Int64
 	want, _, err := x.InferDTD(context.Background(), cfg, countingInferrer(&calls))
@@ -178,17 +189,16 @@ func TestSnapshotKeepsInferenceWarm(t *testing.T) {
 // result byte-identical — both as a rendered extraction and as re-saved
 // snapshot bytes — to ingesting everything sequentially.
 func TestMergeSummaryShardsEquivalentToSingleIngestion(t *testing.T) {
-	for _, dec := range []DecoderKind{DecoderFast, DecoderStd} {
-		t.Run(dec.String(), func(t *testing.T) {
-			opts := &IngestOptions{Decoder: dec}
-			direct := buildSnapshotExtraction(t, dec)
+	for _, shape := range readShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			direct := buildShapedSnapshotExtraction(t, shape)
 			directBytes := saveSnapshot(t, direct)
 			for k := 1; k <= len(snapshotCorpus); k++ {
 				var shards []*Extraction
 				for start := 0; start < len(snapshotCorpus); start += k {
 					sx := NewExtraction()
 					for _, doc := range snapshotCorpus[start:min(start+k, len(snapshotCorpus))] {
-						if err := sx.AddDocumentOptions(strings.NewReader(doc), opts); err != nil {
+						if err := sx.AddDocument(shape.wrap(strings.NewReader(doc))); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -213,7 +223,7 @@ func TestMergeSummaryShardsEquivalentToSingleIngestion(t *testing.T) {
 // summary into an empty extraction carries the memoized models along,
 // so inference over the merge runs no engines.
 func TestMergeSummaryAdoptsCaches(t *testing.T) {
-	x := buildSnapshotExtraction(t, DecoderFast)
+	x := buildSnapshotExtraction(t)
 	cfg := CacheConfig{Key: "test"}
 	var calls atomic.Int64
 	want, _, err := x.InferDTD(context.Background(), cfg, countingInferrer(&calls))
@@ -325,7 +335,7 @@ func attsOf(d *DTD, elem string) string {
 // a clean error (fingerprints and CRC catching what field validation
 // does not), never a panic, never silent acceptance.
 func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
-	x := buildSnapshotExtraction(t, DecoderFast)
+	x := buildSnapshotExtraction(t)
 	data := saveSnapshot(t, x)
 	for n := 0; n < len(data); n++ {
 		if _, err := ReadSnapshot(bytes.NewReader(data[:n])); err == nil {

@@ -3,8 +3,6 @@ package dtd
 import (
 	"bytes"
 	"context"
-	"errors"
-	"fmt"
 	"io"
 
 	"dtdinfer/internal/intern"
@@ -13,26 +11,23 @@ import (
 )
 
 // The one ingestion stager: a reusable stager reads one document's
-// tokens from an xmltok.Source — the structure-only tokenizer
-// (internal/xmltok) by default, or encoding/xml adapted to the same
-// token shape on DecoderStd — and stages the document's observations in
-// a worker-local interned symbol space, with no intermediate strings on
-// the repeat path. An accepted document folds into the stager's stage
-// unit (shardStage), still in that symbol space; commitShard
-// (pipeline.go) is the one fold from a unit into an Extraction, at every
-// worker count. Caps, cancellation and namespace filtering are enforced
-// here once for both decoders. The encoding/xml extraction this
-// replaced survives as test code, the reference the decoder-equivalence
-// suites (FuzzTokenizerEquivalence) hold both sources to.
+// tokens through the capped document reader (DocReader, over the
+// structure-only tokenizer of internal/xmltok) and stages the document's
+// observations in a worker-local interned symbol space, with no
+// intermediate strings on the repeat path. An accepted document folds
+// into the stager's stage unit (shardStage), still in that symbol space;
+// commitShard (pipeline.go) is the one fold from a unit into an
+// Extraction, at every worker count. The reader enforces the byte, token
+// and depth caps and filters namespace declarations; the stager adds the
+// names cap and cancellation. The encoding/xml extraction this replaced
+// survives as test code, the reference the decoder-equivalence suites
+// (FuzzTokenizerEquivalence) hold the stager to.
 
 // stageFrame is one open element during staging.
 type stageFrame struct {
 	wid int32
 	// childStart is the start of this element's children span in childBuf.
 	childStart int
-	// nBinds counts xmlns prefix bindings this element introduced, undone
-	// when it closes.
-	nBinds int
 }
 
 // valCount is one staged attribute value with its per-document count.
@@ -81,19 +76,19 @@ type elemStage struct {
 	attsTouched []*attStage
 }
 
-// stager drives a token source over documents and stages observations
-// in a worker-local dense symbol space. One instance serves a whole
-// one-worker batch (or a pipeline worker's run of shards): the source,
-// the intern table, and every staging buffer are reused across
-// documents, so the per-document cost on a warmed-up corpus (fast
-// decoder) is map probes and slice appends, not allocations.
+// stager drives the document reader over documents and stages
+// observations in a worker-local dense symbol space. One instance serves
+// a whole one-worker batch (or a pipeline worker's run of shards): the
+// reader, the intern table, and every staging buffer are reused across
+// documents, so the per-document cost on a warmed-up corpus is map
+// probes and slice appends, not allocations.
 //
 // The worker-local intern table grows with every distinct element name
 // the worker ever sees, including names from documents that are later
 // rejected; MaxNames bounds the growth per document, and the table dies
 // with the batch.
 type stager struct {
-	src   *xmltok.Source
+	rd    *DocReader
 	names *intern.Table
 
 	epoch   int64
@@ -103,17 +98,6 @@ type stager struct {
 	stack    []stageFrame
 	childBuf []int32 // concatenated children spans of the open elements
 	rootBuf  []int32
-
-	// nsBind tracks live xmlns prefix bindings (innermost last) and
-	// bindLog the prefixes bound by currently open elements, engaged only
-	// when a document declares prefix bindings (only the fast source
-	// reports raw prefixes; the std source has already resolved and
-	// filtered them). The extraction filter needs them for one corner: an
-	// attribute whose prefix is bound to the literal value "xmlns"
-	// translates to Name.Space == "xmlns" under encoding/xml and is
-	// dropped as a namespace declaration.
-	nsBind  map[string][]string
-	bindLog []string
 
 	// shard is the stage unit every accepted document folds into, still
 	// keyed by this stager's symbol space; see commitToShard.
@@ -130,26 +114,23 @@ type stager struct {
 	flush func()
 }
 
-// newStager returns a stager reading the decoder opts selects
-// (nil/zero selects the fast tokenizer), with an empty stage unit.
-func newStager(opts *IngestOptions) *stager {
-	std := opts != nil && opts.Decoder == DecoderStd
-	return &stager{src: xmltok.NewSource(std), names: intern.NewTable(), shard: &shardStage{}}
+// newStager returns a stager with an empty stage unit.
+func newStager() *stager {
+	return &stager{rd: NewDocReader(), names: intern.NewTable(), shard: &shardStage{}}
 }
 
 // ingestOne decodes one document under the caps and cancellation
 // cadence, folding it into the stage unit only on success: a failing
 // document leaves the unit untouched.
 func (f *stager) ingestOne(ctx context.Context, r io.Reader, opts *IngestOptions) (docStats, error) {
-	var o IngestOptions
+	maxNames := 0
 	if opts != nil {
-		o = *opts
+		maxNames = opts.MaxNames
 	}
 	f.beginDoc()
 	done := ctx.Done()
-	mr := &meteredReader{r: r, max: o.MaxBytes}
-	src := f.src
-	src.Reset(mr)
+	rd := f.rd
+	rd.Reset(r, opts)
 	var stats docStats
 	for {
 		if done != nil && stats.tokens%cancelCheckInterval == 0 {
@@ -159,41 +140,26 @@ func (f *stager) ingestOne(ctx context.Context, r io.Reader, opts *IngestOptions
 			default:
 			}
 		}
-		kind, err := src.Next()
-		stats.bytes = mr.n
+		kind, err := rd.Next()
+		stats.bytes = rd.Bytes()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			var le *LimitError
-			if errors.As(err, &le) {
-				return stats, le
-			}
-			return stats, fmt.Errorf("dtd: parsing XML: %w", err)
+			return stats, parseError(err)
 		}
 		stats.tokens++
-		if o.MaxTokens > 0 && stats.tokens > o.MaxTokens {
-			return stats, &LimitError{Limit: "tokens", Max: o.MaxTokens, Offset: src.InputOffset()}
-		}
 		switch kind {
 		case xmltok.StartElement:
 			stats.elements++
-			if o.MaxDepth > 0 && len(f.stack) >= o.MaxDepth {
-				return stats, &LimitError{Limit: "depth", Max: int64(o.MaxDepth), Offset: src.InputOffset()}
-			}
-			if err := f.startElement(src, &o); err != nil {
+			if err := f.startElement(rd, maxNames); err != nil {
 				return stats, err
 			}
 		case xmltok.EndElement:
 			f.endElement()
 		case xmltok.CharData:
-			f.charData(src.Text())
+			f.charData(rd.Text())
 		}
-	}
-	if len(f.stack) != 0 {
-		// Unreachable in practice — both decoders turn EOF with open
-		// elements into a syntax error — but kept as a backstop.
-		return stats, fmt.Errorf("dtd: unbalanced XML document")
 	}
 	f.commitToShard()
 	if f.shard.bytes >= shardFlushBytes {
@@ -210,9 +176,6 @@ func (f *stager) beginDoc() {
 	f.stack = f.stack[:0]
 	f.childBuf = f.childBuf[:0]
 	f.rootBuf = f.rootBuf[:0]
-	for len(f.bindLog) > 0 {
-		f.unbindLast()
-	}
 }
 
 // stage returns the element's staging slot, resetting it on first touch
@@ -237,15 +200,15 @@ func (f *stager) stage(w int32) *elemStage {
 	return st
 }
 
-func (f *stager) startElement(src *xmltok.Source, o *IngestOptions) error {
-	w := int32(f.names.InternBytes(src.Name()))
+func (f *stager) startElement(rd *DocReader, maxNames int) error {
+	w := int32(f.names.InternBytes(rd.Name()))
 	for len(f.elems) <= int(w) {
 		f.elems = append(f.elems, nil)
 	}
-	if o.MaxNames > 0 {
+	if maxNames > 0 {
 		if st := f.elems[w]; st == nil || st.epoch != f.epoch {
-			if len(f.touched) >= o.MaxNames {
-				return &LimitError{Limit: "names", Max: int64(o.MaxNames), Offset: src.InputOffset()}
+			if len(f.touched) >= maxNames {
+				return &LimitError{Limit: "names", Max: int64(maxNames), Offset: rd.InputOffset()}
 			}
 		}
 	}
@@ -255,75 +218,11 @@ func (f *stager) startElement(src *xmltok.Source, o *IngestOptions) error {
 	} else {
 		f.childBuf = append(f.childBuf, w)
 	}
-	nBinds := 0
-	if attrs := src.Attr(); len(attrs) > 0 {
-		nBinds = f.recordAttrs(st, attrs)
-	}
-	f.stack = append(f.stack, stageFrame{wid: w, childStart: len(f.childBuf), nBinds: nBinds})
-	return nil
-}
-
-// recordAttrs stages one start tag's attributes, filtering namespace
-// declarations exactly like encoding/xml extraction does (the std source
-// has already applied that filter; on the fast source the raw prefixes
-// are resolved here). Prefix bindings are
-// registered from every xmlns attribute before any attribute is
-// filtered, matching stdlib Token's sync-then-translate order (a binding
-// applies to attributes of its own element regardless of position).
-func (f *stager) recordAttrs(st *elemStage, attrs []xmltok.Attr) (nBinds int) {
-	for i := range attrs {
-		a := &attrs[i]
-		if string(a.Prefix) == "xmlns" {
-			f.bindPrefix(string(a.Local), string(a.Value))
-			nBinds++
-		}
-	}
-	for i := range attrs {
-		a := &attrs[i]
-		if string(a.Prefix) == "xmlns" || (len(a.Prefix) == 0 && string(a.Local) == "xmlns") {
-			continue
-		}
-		if len(a.Prefix) != 0 && string(a.Prefix) != "xml" && f.boundTo(a.Prefix) == "xmlns" {
-			// The prefix resolves to the literal namespace "xmlns", so
-			// after stdlib translation Name.Space == "xmlns" and the
-			// extraction filter treats it as a namespace declaration.
-			continue
-		}
+	for _, a := range rd.Attr() {
 		f.recordAttr(st, a.Local, a.Value)
 	}
-	return nBinds
-}
-
-func (f *stager) bindPrefix(prefix, value string) {
-	if f.nsBind == nil {
-		f.nsBind = map[string][]string{}
-	}
-	f.nsBind[prefix] = append(f.nsBind[prefix], value)
-	f.bindLog = append(f.bindLog, prefix)
-}
-
-func (f *stager) unbindLast() {
-	p := f.bindLog[len(f.bindLog)-1]
-	f.bindLog = f.bindLog[:len(f.bindLog)-1]
-	s := f.nsBind[p]
-	s = s[:len(s)-1]
-	if len(s) == 0 {
-		delete(f.nsBind, p)
-	} else {
-		f.nsBind[p] = s
-	}
-}
-
-// boundTo returns the innermost binding of prefix ("" when unbound).
-func (f *stager) boundTo(prefix []byte) string {
-	if f.nsBind == nil {
-		return ""
-	}
-	s := f.nsBind[string(prefix)]
-	if len(s) == 0 {
-		return ""
-	}
-	return s[len(s)-1]
+	f.stack = append(f.stack, stageFrame{wid: w, childStart: len(f.childBuf)})
+	return nil
 }
 
 // recordAttr stages one attribute occurrence under the per-document
@@ -367,9 +266,6 @@ func (f *stager) endElement() {
 	st.arena = append(st.arena, f.childBuf[fr.childStart:]...)
 	st.ends = append(st.ends, len(st.arena))
 	f.childBuf = f.childBuf[:fr.childStart]
-	for i := 0; i < fr.nBinds; i++ {
-		f.unbindLast()
-	}
 }
 
 func (f *stager) charData(text []byte) {

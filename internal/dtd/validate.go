@@ -1,13 +1,13 @@
 package dtd
 
 import (
-	"encoding/xml"
-	"errors"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
 
 	"dtdinfer/internal/automata"
+	"dtdinfer/internal/xmltok"
 )
 
 // Validator checks XML documents against a DTD, compiling each content
@@ -65,14 +65,11 @@ func (v *Validator) Validate(r io.Reader) ([]Violation, error) {
 // token and byte limits from IngestOptions; MaxNames is not checked since
 // validation allocates per declared element, not per observed name). A
 // violated cap aborts with a *LimitError, matchable with errors.Is
-// against ErrLimit.
+// against ErrLimit. Each call reads through its own DocReader, so one
+// Validator serves concurrent callers.
 func (v *Validator) ValidateOptions(r io.Reader, opts *IngestOptions) ([]Violation, error) {
-	var o IngestOptions
-	if opts != nil {
-		o = *opts
-	}
-	mr := &meteredReader{r: r, max: o.MaxBytes}
-	dec := xml.NewDecoder(mr)
+	rd := NewDocReader()
+	rd.Reset(r, opts)
 	type frame struct {
 		name     string
 		children []string
@@ -80,57 +77,42 @@ func (v *Validator) ValidateOptions(r io.Reader, opts *IngestOptions) ([]Violati
 	}
 	var stack []frame
 	var out []Violation
-	var tokens int64
 	seenIDs := map[string]bool{}
 	var pendingRefs []idref
 	report := func(name, reason string) {
-		out = append(out, Violation{Element: name, Offset: dec.InputOffset(), Reason: reason})
+		out = append(out, Violation{Element: name, Offset: rd.InputOffset(), Reason: reason})
 	}
 	for {
-		tok, err := dec.Token()
+		kind, err := rd.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			var le *LimitError
-			if errors.As(err, &le) {
-				return out, le
-			}
-			return out, fmt.Errorf("dtd: parsing XML: %w", err)
+			return out, parseError(err)
 		}
-		tokens++
-		if o.MaxTokens > 0 && tokens > o.MaxTokens {
-			return out, &LimitError{Limit: "tokens", Max: o.MaxTokens, Offset: dec.InputOffset()}
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if o.MaxDepth > 0 && len(stack) >= o.MaxDepth {
-				return out, &LimitError{Limit: "depth", Max: int64(o.MaxDepth), Offset: dec.InputOffset()}
-			}
-			name := t.Name.Local
+		switch kind {
+		case xmltok.StartElement:
+			name := string(rd.Name())
 			if len(stack) == 0 && name != v.dtd.Root {
 				report(name, fmt.Sprintf("root is %s, DTD expects %s", name, v.dtd.Root))
 			}
 			if _, ok := v.dtd.Elements[name]; !ok {
 				report(name, "element not declared in DTD")
 			}
-			pendingRefs = v.checkAttributes(name, t.Attr, seenIDs, pendingRefs, dec.InputOffset(), report)
+			pendingRefs = v.checkAttributes(name, rd.Attr(), seenIDs, pendingRefs, rd.InputOffset(), report)
 			if len(stack) > 0 {
 				stack[len(stack)-1].children = append(stack[len(stack)-1].children, name)
 			}
 			stack = append(stack, frame{name: name})
-		case xml.EndElement:
+		case xmltok.EndElement:
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			v.check(top.name, top.children, top.text, report)
-		case xml.CharData:
-			if len(stack) > 0 && strings.TrimSpace(string(t)) != "" {
+		case xmltok.CharData:
+			if len(stack) > 0 && len(bytes.TrimSpace(rd.Text())) != 0 {
 				stack[len(stack)-1].text = true
 			}
 		}
-	}
-	if len(stack) != 0 {
-		return out, fmt.Errorf("dtd: unbalanced XML document")
 	}
 	// IDREFs resolve against the full document's ID set.
 	for _, ref := range pendingRefs {
@@ -182,12 +164,13 @@ func (v *Validator) check(name string, children []string, text bool, report func
 	}
 }
 
-// checkAttributes validates one start tag's attributes: undeclared names,
+// checkAttributes validates one start tag's attributes (namespace
+// declarations already removed by the DocReader): undeclared names,
 // missing required attributes, enumeration membership, and ID uniqueness
 // within the document. IDREF values cannot be judged until the whole
 // document's IDs are known, so they are appended to pendingRefs and the
 // updated slice is returned for resolution at end of document.
-func (v *Validator) checkAttributes(name string, attrs []xml.Attr,
+func (v *Validator) checkAttributes(name string, attrs []xmltok.Attr,
 	seenIDs map[string]bool, pendingRefs []idref, offset int64,
 	report func(name, reason string)) []idref {
 	e := v.dtd.Elements[name]
@@ -200,10 +183,7 @@ func (v *Validator) checkAttributes(name string, attrs []xml.Attr,
 	}
 	present := map[string]bool{}
 	for _, attr := range attrs {
-		an := attr.Name.Local
-		if attr.Name.Space == "xmlns" || an == "xmlns" {
-			continue
-		}
+		an, value := string(attr.Local), string(attr.Value)
 		present[an] = true
 		decl := declared[an]
 		if decl == nil {
@@ -214,22 +194,22 @@ func (v *Validator) checkAttributes(name string, attrs []xml.Attr,
 		case Enumerated:
 			ok := false
 			for _, val := range decl.Values {
-				if attr.Value == val {
+				if value == val {
 					ok = true
 				}
 			}
 			if !ok {
 				report(name, fmt.Sprintf("attribute %s value %q not in enumeration %v",
-					an, attr.Value, decl.Values))
+					an, value, decl.Values))
 			}
 		case ID:
-			if seenIDs[attr.Value] {
-				report(name, fmt.Sprintf("duplicate ID %q", attr.Value))
+			if seenIDs[value] {
+				report(name, fmt.Sprintf("duplicate ID %q", value))
 			}
-			seenIDs[attr.Value] = true
+			seenIDs[value] = true
 		case IDREF:
 			pendingRefs = append(pendingRefs, idref{
-				element: name, attribute: an, value: attr.Value, offset: offset,
+				element: name, attribute: an, value: value, offset: offset,
 			})
 		}
 	}

@@ -1,19 +1,21 @@
-// Package xmltok is a zero-copy, structure-only streaming XML tokenizer
-// for the DTD-inference ingestion hot path. It produces exactly the
-// token stream extraction needs — element open/close names, attribute
-// names and values, character-data runs — as byte slices into reusable
-// internal buffers, so a tokenizer that is Reset between documents
-// performs no per-token allocations.
+// Package xmltok is a zero-copy, structure-only streaming XML tokenizer,
+// the module's one XML event source: ingestion, contextual extraction
+// and validation all read it (through dtd.DocReader). It produces
+// exactly the token stream those need — element open/close names,
+// attribute names and values, character-data runs — as byte slices into
+// reusable internal buffers, so a tokenizer that is Reset between
+// documents performs no per-token allocations.
 //
 // The accept/reject behaviour deliberately mirrors encoding/xml's strict
 // mode byte for byte: the same documents parse, the same documents fail,
 // tokens arrive with the same segmentation (comments and processing
 // instructions split character data; a self-closing tag yields a start
-// and an end event), entity references expand identically, and names
-// are validated against the same XML 1.0 Appendix B character classes.
-// That equivalence is what lets the dtd layer keep encoding/xml as a
-// selectable fallback and differential-testing oracle; it is enforced by
-// FuzzTokenizerEquivalence. What xmltok drops is everything DTD
+// and an end event), entity references expand identically, names are
+// validated against the same XML 1.0 Appendix B character classes, and
+// the input offset after every token is encoding/xml's InputOffset, so
+// validation reports the offsets it always did. encoding/xml stays as
+// the differential-testing oracle (FuzzStreamEquivalence,
+// FuzzTokenizerEquivalence). What xmltok drops is everything DTD
 // inference never looks at: namespace URL resolution, charset
 // conversion, token structs, and per-event string materialization.
 package xmltok
@@ -196,8 +198,8 @@ func (t *Tokenizer) syntaxError(msg string) error {
 
 // fill loads the next chunk from the reader. A read that returns both
 // data and an error serves the data first and parks the error, so a
-// capped reader (dtd.MeterReader) fails the stream at exactly the same
-// byte count as it does under encoding/xml's bufio.
+// capped reader (dtd.DocReader's byte meter) fails the stream only after
+// the tokens its last read delivered.
 func (t *Tokenizer) fill() bool {
 	if t.srcErr != nil {
 		return false

@@ -24,28 +24,14 @@ func (e event) String() string {
 	return fmt.Sprintf("{%d %q %q %v @%d}", e.kind, e.name, e.text, e.attrs, e.off)
 }
 
-// tokenStream is what driveTok reads: the Tokenizer or a Source.
-type tokenStream interface {
-	Next() (Kind, error)
-	Name() []byte
-	Attr() []Attr
-	Text() []byte
-	InputOffset() int64
-}
-
-// driveTok runs the fast tokenizer to completion.
+// driveTok runs the fast tokenizer over data to completion.
 func driveTok(t *Tokenizer, data string) ([]event, error) {
 	t.Reset(strings.NewReader(data))
-	return drive(t)
+	return drain(t)
 }
 
-// driveSource runs a token source to completion.
-func driveSource(s *Source, data string) ([]event, error) {
-	s.Reset(strings.NewReader(data))
-	return drive(s)
-}
-
-func drive(t tokenStream) ([]event, error) {
+// drain runs a Reset tokenizer to completion.
+func drain(t *Tokenizer) ([]event, error) {
 	var evs []event
 	for {
 		kind, err := t.Next()
@@ -72,9 +58,7 @@ func drive(t tokenStream) ([]event, error) {
 }
 
 // driveStd runs the encoding/xml oracle to completion in strict mode.
-// With nsFilter set it drops namespace declarations the way extraction
-// does (resolved Name.Space "xmlns", or local name "xmlns").
-func driveStd(data string, nsFilter bool) ([]event, error) {
+func driveStd(data string) ([]event, error) {
 	dec := xml.NewDecoder(strings.NewReader(data))
 	var evs []event
 	for {
@@ -90,9 +74,6 @@ func driveStd(data string, nsFilter bool) ([]event, error) {
 		case xml.StartElement:
 			ev := event{kind: StartElement, name: t.Name.Local, off: off}
 			for _, a := range t.Attr {
-				if nsFilter && (a.Name.Space == "xmlns" || a.Name.Local == "xmlns") {
-					continue
-				}
 				ev.attrs = append(ev.attrs, a.Name.Local+"="+a.Value)
 			}
 			evs = append(evs, ev)
@@ -110,24 +91,16 @@ func driveStd(data string, nsFilter bool) ([]event, error) {
 	}
 }
 
-// sameEvents compares token streams, offsets excluded (the decoders
-// count consumed bytes differently).
+// sameEvents compares token streams: kinds, names, text, attributes and
+// the input offset after every token, which the tokenizer counts exactly
+// like encoding/xml's InputOffset (Violation offsets depend on it).
 func sameEvents(a, b []event) bool {
-	return sameTokens(a, b, true)
-}
-
-// sameTokens compares kinds, names and text, and attributes when attrs
-// is set.
-func sameTokens(a, b []event, attrs bool) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].kind != b[i].kind || a[i].name != b[i].name || a[i].text != b[i].text {
+		if a[i].kind != b[i].kind || a[i].name != b[i].name || a[i].text != b[i].text || a[i].off != b[i].off {
 			return false
-		}
-		if !attrs {
-			continue
 		}
 		if len(a[i].attrs) != len(b[i].attrs) {
 			return false
@@ -297,7 +270,7 @@ func TestTokenizerEquivalence(t *testing.T) {
 	tok := NewTokenizer()
 	for _, doc := range equivalenceCorpus {
 		fastEvs, fastErr := driveTok(tok, doc)
-		stdEvs, stdErr := driveStd(doc, false)
+		stdEvs, stdErr := driveStd(doc)
 		if (fastErr != nil) != (stdErr != nil) {
 			t.Errorf("doc %q: fast err = %v, std err = %v", doc, fastErr, stdErr)
 			continue
@@ -318,45 +291,41 @@ func TestTokenizerEquivalence(t *testing.T) {
 
 // TestTokenizerBufferBoundaries shifts a document across the internal
 // read-buffer boundary so every special byte lands on a chunk edge at
-// least once, and also feeds it one byte at a time.
+// least once, and also feeds it one byte at a time; tokens and offsets
+// must match encoding/xml at every shift.
 func TestTokenizerBufferBoundaries(t *testing.T) {
 	doc := `<root a="v&amp;1"><!-- c --><x:kid xmlns:x="u">text &#65;</x:kid>` +
 		"<k><![CDATA[cd]]x]]></k>\r\n</root>"
-	want, err := driveStd(strings.Repeat(" ", 7)+doc, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tok := NewTokenizer()
 	for pad := readBufSize - len(doc) - 4; pad < readBufSize+4; pad++ {
 		if pad < 0 {
 			continue
 		}
 		in := strings.Repeat(" ", pad) + doc
+		want, err := driveStd(in)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got, err := driveTok(tok, in)
 		if err != nil {
 			t.Fatalf("pad %d: %v", pad, err)
 		}
-		// Strip the leading whitespace CharData and compare the rest.
-		wantTail, gotTail := want[1:], got[1:]
-		if !sameEvents(gotTail, wantTail) {
-			t.Fatalf("pad %d:\ngot:  %v\nwant: %v", pad, gotTail, wantTail)
+		if !sameEvents(got, want) {
+			t.Fatalf("pad %d:\ngot:  %v\nwant: %v", pad, got, want)
 		}
 	}
 	// One byte at a time.
-	tok.Reset(&oneByteReader{data: doc})
-	var kinds []Kind
-	for {
-		kind, err := tok.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("byte-at-a-time: %v", err)
-		}
-		kinds = append(kinds, kind)
+	want, err := driveStd(doc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(kinds) == 0 {
-		t.Fatal("no tokens from byte-at-a-time reader")
+	tok.Reset(&oneByteReader{data: doc})
+	got, err := drain(tok)
+	if err != nil {
+		t.Fatalf("byte-at-a-time: %v", err)
+	}
+	if !sameEvents(got, want) {
+		t.Fatalf("byte-at-a-time:\ngot:  %v\nwant: %v", got, want)
 	}
 }
 
@@ -424,62 +393,24 @@ func TestTokenizerReuseAllocs(t *testing.T) {
 	}
 }
 
-// checkSources drives both token sources over one document. The std
-// source must reproduce encoding/xml exactly — kinds, names, filtered
-// attributes, text, offsets and the error — and agree with the
-// Tokenizer on acceptance, kinds, names and text. The fast source must
-// be the Tokenizer, offsets included.
-func checkSources(t *testing.T, fast, std *Source, tok *Tokenizer, doc string) {
-	t.Helper()
-	srcEvs, srcErr := driveSource(std, doc)
-	refEvs, refErr := driveStd(doc, true)
-	if fmt.Sprint(srcErr) != fmt.Sprint(refErr) {
-		t.Fatalf("doc %q: std source err = %v, encoding/xml err = %v", doc, srcErr, refErr)
-	}
-	if fmt.Sprint(srcEvs) != fmt.Sprint(refEvs) {
-		t.Fatalf("doc %q: std source diverges from encoding/xml:\nsource: %v\nstd:    %v", doc, srcEvs, refEvs)
-	}
-	tokEvs, tokErr := driveTok(tok, doc)
-	if (tokErr != nil) != (srcErr != nil) {
-		t.Fatalf("doc %q: accept/reject mismatch: tokenizer err = %v, std source err = %v", doc, tokErr, srcErr)
-	}
-	if !sameTokens(tokEvs, srcEvs, false) {
-		t.Fatalf("doc %q: std source diverges from tokenizer:\ntok:    %v\nsource: %v", doc, tokEvs, srcEvs)
-	}
-	fastEvs, fastErr := driveSource(fast, doc)
-	if fmt.Sprint(fastErr) != fmt.Sprint(tokErr) || fmt.Sprint(fastEvs) != fmt.Sprint(tokEvs) {
-		t.Fatalf("doc %q: fast source diverges from tokenizer:\nsource: %v (%v)\ntok:    %v (%v)",
-			doc, fastEvs, fastErr, tokEvs, tokErr)
-	}
-}
-
-func TestSourceEquivalence(t *testing.T) {
-	fast, std, tok := NewSource(false), NewSource(true), NewTokenizer()
-	for _, doc := range equivalenceCorpus {
-		checkSources(t, fast, std, tok, doc)
-	}
-}
-
-// FuzzStreamEquivalence cross-checks the raw token stream against
-// encoding/xml on arbitrary bytes, and drives the std token source
-// against both (see checkSources). The dtd-level differential target
-// (FuzzTokenizerEquivalence) covers extraction state; this one catches
-// divergence in tokens extraction happens to ignore.
+// FuzzStreamEquivalence cross-checks the raw token stream, offsets
+// included, against encoding/xml on arbitrary bytes. The dtd-level
+// differential targets (FuzzTokenizerEquivalence,
+// FuzzValidatorEquivalence) cover extraction and validation; this one
+// catches divergence in tokens those happen to ignore.
 func FuzzStreamEquivalence(f *testing.F) {
 	for _, doc := range equivalenceCorpus {
 		f.Add(doc)
 	}
 	tok := NewTokenizer()
-	fast, std := NewSource(false), NewSource(true)
 	f.Fuzz(func(t *testing.T, doc string) {
 		fastEvs, fastErr := driveTok(tok, doc)
-		stdEvs, stdErr := driveStd(doc, false)
+		stdEvs, stdErr := driveStd(doc)
 		if (fastErr != nil) != (stdErr != nil) {
 			t.Fatalf("accept/reject mismatch: fast err = %v, std err = %v", fastErr, stdErr)
 		}
 		if !sameEvents(fastEvs, stdEvs) {
 			t.Fatalf("token streams diverge:\nfast: %v\nstd:  %v", fastEvs, stdEvs)
 		}
-		checkSources(t, fast, std, tok, doc)
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"dtdinfer/internal/corpus"
 	"dtdinfer/internal/dtd"
@@ -26,9 +27,9 @@ func TestParallelIngestionDTDByteIdentical(t *testing.T) {
 			rand.New(rand.NewSource(shuffle)).Shuffle(len(docs), func(i, j int) {
 				docs[i], docs[j] = docs[j], docs[i]
 			})
-			want := inferString(t, docs, algo, 1, dtd.DecoderFast)
+			want := inferString(t, docs, algo, 1, wholeReads)
 			for _, workers := range []int{2, 3, 5, 8} {
-				if got := inferString(t, docs, algo, workers, dtd.DecoderFast); got != want {
+				if got := inferString(t, docs, algo, workers, wholeReads); got != want {
 					t.Errorf("algo=%s shuffle=%d workers=%d: DTD differs from sequential\ngot:\n%s\nwant:\n%s",
 						algo, shuffle, workers, got, want)
 				}
@@ -38,30 +39,44 @@ func TestParallelIngestionDTDByteIdentical(t *testing.T) {
 }
 
 // TestParallelIngestionPipelinedBothDecoders sweeps the pipelined path
-// across worker counts 1..8 under both decoders: the std decoder commits
-// staged extractions through Merge, the fast decoder through the remapped
-// ID fold, and both must reproduce the sequential DTD byte-for-byte.
+// across worker counts 1..8 in both read shapes (the test keeps the name
+// of the two decoders the shapes replaced): every worker count must
+// reproduce the sequential DTD byte-for-byte.
 func TestParallelIngestionPipelinedBothDecoders(t *testing.T) {
 	docs := append(corpus.Protein(7, 60), corpus.Mondial(8, 25)...)
-	for _, decoder := range []dtd.DecoderKind{dtd.DecoderFast, dtd.DecoderStd} {
-		want := inferString(t, docs, IDTD, 1, decoder)
+	for _, shape := range readShapes {
+		want := inferString(t, docs, IDTD, 1, shape)
 		for workers := 2; workers <= 8; workers++ {
-			if got := inferString(t, docs, IDTD, workers, decoder); got != want {
-				t.Errorf("decoder=%s workers=%d: DTD differs from sequential\ngot:\n%s\nwant:\n%s",
-					decoder, workers, got, want)
+			if got := inferString(t, docs, IDTD, workers, shape); got != want {
+				t.Errorf("shape=%s workers=%d: DTD differs from sequential\ngot:\n%s\nwant:\n%s",
+					shape.name, workers, got, want)
 			}
 		}
 	}
 }
 
-func inferString(t *testing.T, docs []string, algo Algorithm, workers int, decoder dtd.DecoderKind) string {
+// readShape is how a test hands its documents to the reader. The two
+// shapes keep the subtest names of the two decoders they replaced
+// ("fast", "std"); both run the one tokenizer. "fast" hands each document
+// over in whole reads, "std" one byte per Read, so a property tested over
+// both also holds when every token straddles a read boundary.
+type readShape struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}
+
+var readShapes = []readShape{wholeReads, {"std", iotest.OneByteReader}}
+
+var wholeReads = readShape{"fast", func(r io.Reader) io.Reader { return r }}
+
+func inferString(t *testing.T, docs []string, algo Algorithm, workers int, shape readShape) string {
 	t.Helper()
 	readers := make([]io.Reader, len(docs))
 	for i, d := range docs {
-		readers[i] = strings.NewReader(d)
+		readers[i] = shape.wrap(strings.NewReader(d))
 	}
 	d, _, _, err := InferDTDWithReport(readers, algo,
-		&Options{Parallelism: workers}, &dtd.IngestOptions{Decoder: decoder}, dtd.SkipAndRecord)
+		&Options{Parallelism: workers}, nil, dtd.SkipAndRecord)
 	if err != nil {
 		t.Fatalf("algo=%s workers=%d: %v", algo, workers, err)
 	}
