@@ -128,18 +128,22 @@ profile:
 # per invocation, hence one command per target. FuzzStreamEquivalence,
 # FuzzTokenizerEquivalence and FuzzValidatorEquivalence are the
 # differential gates holding the tokenizer, ingestion and validation to
-# encoding/xml and the reference loops built on it.
+# encoding/xml and the reference loops built on it. -fuzzminimizetime
+# bounds how long the fuzzer may spend minimizing a newly interesting
+# input (go's default is 60s): inputs grown from the multi-KB document
+# seeds otherwise stall a short smoke at 0 execs/s while they are
+# minimized.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
-	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/dtd
-	$(GO) test -run xxx -fuzz FuzzExtraction -fuzztime $(FUZZTIME) ./internal/dtd
-	$(GO) test -run xxx -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) ./internal/dtd
-	$(GO) test -run xxx -fuzz FuzzTokenizerEquivalence -fuzztime $(FUZZTIME) ./internal/dtd
-	$(GO) test -run xxx -fuzz FuzzValidatorEquivalence -fuzztime $(FUZZTIME) ./internal/dtd
-	$(GO) test -run xxx -fuzz FuzzStreamEquivalence -fuzztime $(FUZZTIME) ./internal/xmltok
-	$(GO) test -run xxx -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/sample
-	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/regex
+	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/dtd
+	$(GO) test -run xxx -fuzz FuzzExtraction -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/dtd
+	$(GO) test -run xxx -fuzz FuzzSnapshotDecode -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/dtd
+	$(GO) test -run xxx -fuzz FuzzTokenizerEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/dtd
+	$(GO) test -run xxx -fuzz FuzzValidatorEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/dtd
+	$(GO) test -run xxx -fuzz FuzzStreamEquivalence -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/xmltok
+	$(GO) test -run xxx -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/sample
+	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/regex
 
 # loc prints the non-test Go line delta of the working tree against BASE:
 # lines added and removed in *.go files other than *_test.go, and the

@@ -54,11 +54,18 @@ func BenchmarkConcisenessStateElimVsRewrite(b *testing.B) {
 		a := soa.Infer(sample)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := stateelim.FromSOA(a); err != nil {
+			if _, err := stateelim.FromSOA(context.Background(), a); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// inferWords runs one engine on the counted sample of a verbatim sample,
+// building the sample inside the timed region as the library's string
+// entry point does.
+func inferWords(ws [][]string, algo core.Algorithm) (*regex.Expr, error) {
+	return core.InferSampleExpr(sample.FromStrings(ws), algo, nil)
 }
 
 func split(w string) []string {
@@ -84,7 +91,7 @@ func BenchmarkTable1(b *testing.B) {
 		for _, algo := range []core.Algorithm{core.CRX, core.IDTD} {
 			b.Run(row.Element+"/"+string(algo), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := core.InferExpr(sample, algo, nil); err != nil {
+					if _, err := inferWords(sample, algo); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -103,7 +110,7 @@ func BenchmarkTable2(b *testing.B) {
 		for _, algo := range []core.Algorithm{core.CRX, core.IDTD, core.TrangLike} {
 			b.Run(row.Element+"/"+string(algo), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := core.InferExpr(sample, algo, nil); err != nil {
+					if _, err := inferWords(sample, algo); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -115,7 +122,7 @@ func BenchmarkTable2(b *testing.B) {
 		}
 		b.Run(row.Element+"/xtract", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.InferExpr(xs, core.XTRACT, nil); err != nil {
+				if _, err := inferWords(xs, core.XTRACT); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -162,7 +169,7 @@ func benchPerf(b *testing.B, algo core.Algorithm) {
 	sample := datagen.RepresentativeSample(datagen.NewSampler(1), target, row.SampleSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.InferExpr(sample, algo, nil); err != nil {
+		if _, err := inferWords(sample, algo); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -176,7 +183,7 @@ func BenchmarkPerfTypical(b *testing.B) {
 	for _, algo := range []core.Algorithm{core.IDTD, core.CRX} {
 		b.Run(string(algo), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.InferExpr(sample, algo, nil); err != nil {
+				if _, err := inferWords(sample, algo); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -225,7 +232,7 @@ func BenchmarkIngestParallel(b *testing.B) {
 			reportCPUShape(b)
 			var last *IngestReport
 			for i := 0; i < b.N; i++ {
-				x := NewExtraction()
+				x := dtd.NewExtraction()
 				report, err := x.AddDocsParallelContext(context.Background(), dtd.LabelDocs(docs()), workers, nil, dtd.FailFast)
 				if err != nil {
 					b.Fatal(err)
@@ -243,7 +250,7 @@ func BenchmarkIngestParallel(b *testing.B) {
 // the next document of a fixed pool of unseen ones, so the corpus stays
 // warm without growing new shapes on every call.
 func BenchmarkIngestOneDoc(b *testing.B) {
-	x := NewExtraction()
+	x := dtd.NewExtraction()
 	if _, err := x.AddDocsParallelContext(context.Background(), dtd.LabelDocs(corpus.Documents(corpus.Protein(1, 300))), 1, nil, dtd.FailFast); err != nil {
 		b.Fatal(err)
 	}
@@ -263,11 +270,11 @@ func BenchmarkIngestOneDoc(b *testing.B) {
 // document is valid and read to the end.
 func BenchmarkValidate(b *testing.B) {
 	docs, docBytes := corpusDocs(400)
-	x := NewExtraction()
+	x := dtd.NewExtraction()
 	if _, err := x.AddDocsParallelContext(context.Background(), dtd.LabelDocs(docs()), 0, nil, dtd.FailFast); err != nil {
 		b.Fatal(err)
 	}
-	d, err := InferDTDFromExtraction(x, IDTD, nil)
+	d, err := core.InferDTDFromExtraction(x, IDTD, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -381,14 +388,14 @@ func corpusDocs(n int) (func() []io.Reader, int64) {
 func BenchmarkIncrementalInfer(b *testing.B) {
 	const nDocs = 2000
 	docs := corpus.Protein(1, nDocs)
-	build := func(b *testing.B) *Extraction {
-		x := NewExtraction()
+	build := func(b *testing.B) *dtd.Extraction {
+		x := dtd.NewExtraction()
 		if _, err := x.AddDocsParallelContext(context.Background(), dtd.LabelDocs(corpus.Documents(docs)), 1, nil, dtd.FailFast); err != nil {
 			b.Fatal(err)
 		}
 		return x
 	}
-	infer := func(b *testing.B, x *Extraction) *dtd.InferStats {
+	infer := func(b *testing.B, x *dtd.Extraction) *dtd.InferStats {
 		_, st, err := core.InferDTDFromExtractionStats(x, core.IDTD, nil)
 		if err != nil {
 			b.Fatal(err)
@@ -471,21 +478,21 @@ func BenchmarkIngestDedup(b *testing.B) {
 	b.Logf("sample: %d strings, %d unique", set.Total(), set.Unique())
 	b.Run("verbatim", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := idtd.Infer(strs, nil); err != nil {
+			if _, err := idtd.FromSOA(context.Background(), soa.Infer(strs), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("counted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := idtd.InferSample(set, nil); err != nil {
+			if _, err := idtd.FromSOA(context.Background(), soa.InferSample(set), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("counted-cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := idtd.InferSample(sample.FromStrings(strs), nil); err != nil {
+			if _, err := idtd.FromSOA(context.Background(), soa.InferSample(sample.FromStrings(strs)), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -521,7 +528,7 @@ func BenchmarkAblationRepairPolicy(b *testing.B) {
 				if !nonEmpty {
 					continue
 				}
-				res, err := idtd.Infer(ws, &idtd.Options{Policy: tc.policy})
+				res, err := idtd.FromSOA(context.Background(), soa.Infer(ws), &idtd.Options{Policy: tc.policy})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -546,19 +553,19 @@ func BenchmarkAblationRepairPolicy(b *testing.B) {
 // over the corpus it stands in for.
 func BenchmarkSnapshotSave(b *testing.B) {
 	docs, docBytes := corpusDocs(400)
-	x := NewExtraction()
+	x := dtd.NewExtraction()
 	if _, err := x.AddDocsParallelContext(context.Background(), dtd.LabelDocs(docs()), 1, nil, dtd.FailFast); err != nil {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteCorpus(x, &buf); err != nil {
+	if err := core.WriteCorpus(x, &buf); err != nil {
 		b.Fatal(err)
 	}
 	summaryBytes := buf.Len()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := WriteCorpus(x, &buf); err != nil {
+		if err := core.WriteCorpus(x, &buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -568,12 +575,12 @@ func BenchmarkSnapshotSave(b *testing.B) {
 
 func BenchmarkSnapshotLoad(b *testing.B) {
 	docs, docBytes := corpusDocs(400)
-	x := NewExtraction()
+	x := dtd.NewExtraction()
 	if _, err := x.AddDocsParallelContext(context.Background(), dtd.LabelDocs(docs()), 1, nil, dtd.FailFast); err != nil {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteCorpus(x, &buf); err != nil {
+	if err := core.WriteCorpus(x, &buf); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -582,7 +589,7 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 		b.ReportMetric(float64(docBytes), "corpus-bytes")
 		b.ReportMetric(float64(len(data)), "summary-bytes")
 		for i := 0; i < b.N; i++ {
-			if _, err := ReadCorpus(bytes.NewReader(data)); err != nil {
+			if _, err := core.ReadCorpus(bytes.NewReader(data)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -593,7 +600,7 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 	b.Run("reingest", func(b *testing.B) {
 		b.ReportMetric(float64(docBytes), "corpus-bytes")
 		for i := 0; i < b.N; i++ {
-			y := NewExtraction()
+			y := dtd.NewExtraction()
 			if _, err := y.AddDocsParallelContext(context.Background(), dtd.LabelDocs(docs()), 1, nil, dtd.FailFast); err != nil {
 				b.Fatal(err)
 			}

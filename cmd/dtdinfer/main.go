@@ -51,6 +51,8 @@ import (
 	"dtdinfer/internal/contextual"
 	"dtdinfer/internal/core"
 	"dtdinfer/internal/dtd"
+	"dtdinfer/internal/regex"
+	"dtdinfer/internal/sample"
 	"dtdinfer/internal/xsd"
 )
 
@@ -296,7 +298,9 @@ func runContextual(k int, algo core.Algorithm, opts *core.Options, format string
 		fmt.Fprintf(os.Stderr, "ingested %d/%d documents (%d rejected)\n",
 			accepted, accepted+rejected, rejected)
 	}
-	s, err := x.InferSchema(core.Inferrer(algo, opts))
+	s, err := x.InferSchema(func(s *sample.Set) (*regex.Expr, error) {
+		return core.InferSampleExpr(s, algo, opts)
+	})
 	if err != nil {
 		fatal(err)
 	}

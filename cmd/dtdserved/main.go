@@ -9,6 +9,11 @@
 //	          [-degrade ladder|fail] [-j N]
 //	          [-queue N] [-request-timeout D] [-drain-timeout D]
 //	          [-persist-interval D] [-max-body BYTES]
+//	          [-max-depth N] [-max-tokens N] [-max-names N] [-max-bytes N]
+//
+// Every document is decoded under the per-document caps of
+// dtd.DefaultIngestOptions unless a -max-* flag changes one; 0 turns a
+// cap off.
 //
 // On SIGTERM or SIGINT the daemon drains: new requests are refused with
 // 503 while in-flight ones complete, queues flush, every dirty tenant
@@ -52,10 +57,11 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "total drain deadline on SIGTERM")
 	persistInterval := flag.Duration("persist-interval", 15*time.Second, "dirty-tenant auto-persist period (<0 disables)")
 	maxBody := flag.Int64("max-body", 32<<20, "request body cap in bytes")
-	maxDepth := flag.Int("max-depth", 0, "decoder cap: element nesting depth per document (0 = unlimited)")
-	maxTokens := flag.Int64("max-tokens", 0, "decoder cap: XML tokens per document (0 = unlimited)")
-	maxNames := flag.Int("max-names", 0, "decoder cap: distinct element names per document (0 = unlimited)")
-	maxBytes := flag.Int64("max-bytes", 0, "decoder cap: bytes per document (0 = unlimited)")
+	caps := dtd.DefaultIngestOptions()
+	maxDepth := flag.Int("max-depth", caps.MaxDepth, "decoder cap: element nesting depth per document (0 = unlimited)")
+	maxTokens := flag.Int64("max-tokens", caps.MaxTokens, "decoder cap: XML tokens per document (0 = unlimited)")
+	maxNames := flag.Int("max-names", caps.MaxNames, "decoder cap: distinct element names per document (0 = unlimited)")
+	maxBytes := flag.Int64("max-bytes", caps.MaxBytes, "decoder cap: bytes per document (0 = unlimited)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "dtdserved: ", log.LstdFlags)
@@ -74,10 +80,7 @@ func main() {
 	default:
 		logger.Fatalf("-degrade must be ladder or fail, got %q", *degrade)
 	}
-	var ingest *dtd.IngestOptions
-	if *maxDepth != 0 || *maxTokens != 0 || *maxNames != 0 || *maxBytes != 0 {
-		ingest = &dtd.IngestOptions{MaxDepth: *maxDepth, MaxTokens: *maxTokens, MaxNames: *maxNames, MaxBytes: *maxBytes}
-	}
+	ingest := &dtd.IngestOptions{MaxDepth: *maxDepth, MaxTokens: *maxTokens, MaxNames: *maxNames, MaxBytes: *maxBytes}
 
 	srv, err := server.New(server.Config{
 		Algo:            algo,

@@ -340,6 +340,42 @@ func TestCLIDtdvalidateIDREFAndCaps(t *testing.T) {
 	}
 }
 
+// TestCLIXMLDeclarationErrors: an unsupported <?xml?> version or
+// encoding reaches users of dtdinfer, dtdvalidate and the daemon as the
+// plain parse error, without the tokenizer's internal package name.
+func TestCLIXMLDeclarationErrors(t *testing.T) {
+	dir := t.TempDir()
+	schema := writeFile(t, dir, "root.dtd", `<!ELEMENT root EMPTY>`)
+	for _, tc := range []struct{ doc, want string }{
+		{`<?xml version="2.0"?><root/>`,
+			`dtd: parsing XML: unsupported version "2.0"; only version 1.0 is supported`},
+		{`<?xml version="1.0" encoding="latin1"?><root/>`,
+			`dtd: parsing XML: encoding "latin1" declared but only utf-8 is supported`},
+	} {
+		doc := writeFile(t, dir, "doc.xml", tc.doc)
+		out, code := runTool(t, "dtdinfer", "", doc)
+		if code != 1 || !strings.Contains(out, tc.want) || strings.Contains(out, "xmltok") {
+			t.Errorf("dtdinfer (exit %d): %q, want %q", code, out, tc.want)
+		}
+		out, code = runTool(t, "dtdvalidate", "", "-dtd", schema, doc)
+		if code != 1 || !strings.Contains(out, tc.want) || strings.Contains(out, "xmltok") {
+			t.Errorf("dtdvalidate (exit %d): %q, want %q", code, out, tc.want)
+		}
+	}
+
+	d := startDaemon(t, "-persist-interval", "-1s")
+	if code, body, err := httpPost(d.base+"/v1/tenants/x/documents", "<root/>"); err != nil || code != 200 {
+		t.Fatalf("ingest: code=%d body=%q err=%v", code, body, err)
+	}
+	const want = `dtd: parsing XML: unsupported version "2.0"; only version 1.0 is supported`
+	for _, endpoint := range []string{"documents", "validate"} {
+		code, body, err := httpPost(d.base+"/v1/tenants/x/"+endpoint, `<?xml version="2.0"?><root/>`)
+		if err != nil || !strings.Contains(body, want) || strings.Contains(body, "xmltok") {
+			t.Errorf("daemon %s: code=%d body=%q err=%v, want %q", endpoint, code, body, err, want)
+		}
+	}
+}
+
 func TestCLIDtddiffChangeFeed(t *testing.T) {
 	dir := t.TempDir()
 	v3 := writeFile(t, dir, "v3.dtd", `<!DOCTYPE r [

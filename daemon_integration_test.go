@@ -361,3 +361,35 @@ func TestDaemonHealthAndMetrics(t *testing.T) {
 		t.Errorf("exit code %d after SIGINT, want 0\nstderr: %s", code, d.stderr.String())
 	}
 }
+
+// TestDaemonCapsDocumentsByDefault: with no -max-* flag the daemon decodes
+// under dtd.DefaultIngestOptions, so a 50,000-deep document is rejected at
+// the depth cap by both the ingest and the validate endpoint instead of
+// being walked to its end; -max-depth 0 turns that cap off again.
+func TestDaemonCapsDocumentsByDefault(t *testing.T) {
+	deep := strings.Repeat("<d>", 50000)
+	const limit = "depth limit 10000"
+	d := startDaemon(t, "-persist-interval", "-1s")
+	if code, body, err := httpPost(d.base+"/v1/tenants/c/documents", "<a><b/></a>"); err != nil || code != 200 {
+		t.Fatalf("ingest: code=%d body=%q err=%v", code, body, err)
+	}
+	// A rejected document answers 422, the daemon's status for documents
+	// the decoder refuses; an aborted validation answers 400.
+	code, body, err := httpPost(d.base+"/v1/tenants/c/documents", deep)
+	if err != nil || code != http.StatusUnprocessableEntity || !strings.Contains(body, limit) {
+		t.Errorf("deep ingest: code=%d body=%q err=%v, want 422 naming the %s", code, body, err, limit)
+	}
+	code, body, err = httpPost(d.base+"/v1/tenants/c/validate", deep)
+	if err != nil || code != http.StatusBadRequest || !strings.Contains(body, limit) {
+		t.Errorf("deep validate: code=%d body=%q err=%v, want 400 naming the %s", code, body, err, limit)
+	}
+
+	off := startDaemon(t, "-persist-interval", "-1s", "-max-depth", "0")
+	if code, body, err := httpPost(off.base+"/v1/tenants/c/documents", "<a><b/></a>"); err != nil || code != 200 {
+		t.Fatalf("ingest: code=%d body=%q err=%v", code, body, err)
+	}
+	code, body, err = httpPost(off.base+"/v1/tenants/c/validate", deep)
+	if err != nil || code != http.StatusBadRequest || strings.Contains(body, "limit") {
+		t.Errorf("-max-depth 0 validate: code=%d body=%q err=%v, want 400 without a limit", code, body, err)
+	}
+}

@@ -36,9 +36,8 @@ import (
 	"dtdinfer/internal/core"
 	"dtdinfer/internal/crx"
 	"dtdinfer/internal/dtd"
-	"dtdinfer/internal/idtd"
 	"dtdinfer/internal/regex"
-	"dtdinfer/internal/soa"
+	smp "dtdinfer/internal/sample"
 	"dtdinfer/internal/xsd"
 )
 
@@ -64,58 +63,21 @@ const (
 	StateElim = core.StateElim
 )
 
-// ParseAlgorithm converts a command-line name into an Algorithm.
-func ParseAlgorithm(name string) (Algorithm, error) { return core.ParseAlgorithm(name) }
-
 // Options tune the engines; the zero value (or nil) uses the paper's
 // settings (k = 2 for iDTD's repair rules, 1000-string cap for XTRACT).
 type Options = core.Options
 
-// Budget caps the resources one element's inference may consume: a
-// wall-clock deadline, an automaton state count, and an output expression
-// size. The zero value applies no caps.
-type Budget = core.Budget
-
-// DegradeMode selects the reaction when an element's engine fails,
-// exceeds its Budget, or panics.
-type DegradeMode = core.DegradeMode
-
-const (
-	// DegradeFail propagates the failure, aborting the whole inference
-	// (the default for library callers).
-	DegradeFail = core.DegradeFail
-	// DegradeLadder falls back per element: configured engine, then CRX,
-	// then the universal content model (a1|...|an)*. The accepted rung is
-	// recorded in the InferStats outcomes.
-	DegradeLadder = core.DegradeLadder
-)
-
-// ElementOutcome records which engine produced an element's content model
-// and whether (and why) inference degraded.
-type ElementOutcome = dtd.ElementOutcome
-
-// IDTDOptions configure the iDTD repair rules and noise handling.
-type IDTDOptions = idtd.Options
+// DegradeLadder, set as Options.Degrade, falls back per element when its
+// engine fails, exceeds Options.Budget, or panics: configured engine, then
+// CRX, then the universal content model (a1|...|an)*. The accepted rung
+// is recorded in InferStats.Outcomes.
+const DegradeLadder = core.DegradeLadder
 
 // Expr is a regular expression over element names (a content model).
 type Expr = regex.Expr
 
-// ParseExpr parses a content model in either the paper's notation
-// ("(b?(a + c))+d") or DTD notation ("((b?,(a|c))+,d)").
-func ParseExpr(src string) (*Expr, error) { return regex.Parse(src) }
-
 // DTD is an inferred or parsed Document Type Definition.
 type DTD = dtd.DTD
-
-// Element is one element declaration of a DTD.
-type Element = dtd.Element
-
-// Extraction accumulates child-element sequences from XML documents.
-type Extraction = dtd.Extraction
-
-// NewExtraction returns an empty accumulator; add documents with
-// AddDocument and infer with InferDTDFromExtraction.
-func NewExtraction() *Extraction { return dtd.NewExtraction() }
 
 // IngestOptions caps the resources one document may consume during
 // extraction (nesting depth, token count, distinct element names, input
@@ -146,9 +108,6 @@ const (
 // IngestReport aggregates ingestion counters and per-document errors.
 type IngestReport = dtd.IngestReport
 
-// DocumentError is one document's ingestion failure inside a batch.
-type DocumentError = dtd.DocumentError
-
 // InferStats reports per-element timings from the inference worker pool.
 type InferStats = dtd.InferStats
 
@@ -168,7 +127,7 @@ func InferDTDWithReport(docs []io.Reader, algo Algorithm, opts *Options,
 // ingest into a fresh extraction, then run its (cold) inference pass.
 // The stats are nil when ingestion failed.
 func inferDocs(ctx context.Context, docs []io.Reader, algo Algorithm, opts *Options,
-	ingest *IngestOptions, policy ErrorPolicy) (*Extraction, *DTD, *IngestReport, *InferStats, error) {
+	ingest *IngestOptions, policy ErrorPolicy) (*dtd.Extraction, *DTD, *IngestReport, *InferStats, error) {
 	x, report, err := core.Ingest(ctx, docs, opts, ingest, policy)
 	if err != nil {
 		return nil, nil, report, nil, err
@@ -180,9 +139,6 @@ func inferDocs(ctx context.Context, docs []io.Reader, algo Algorithm, opts *Opti
 // Validator checks documents against a DTD.
 type Validator = dtd.Validator
 
-// Violation is one validation failure.
-type Violation = dtd.Violation
-
 // NewValidator compiles a DTD's content models for validation.
 func NewValidator(d *DTD) *Validator { return dtd.NewValidator(d) }
 
@@ -191,9 +147,11 @@ func NewValidator(d *DTD) *Validator { return dtd.NewValidator(d) }
 func ParseDTD(src string) (*DTD, error) { return dtd.Parse(src) }
 
 // InferContentModel learns a single content-model expression from positive
-// example strings (sequences of child element names).
+// example strings (sequences of child element names). It is where verbatim
+// strings enter the library: they are folded into a counted sample, so
+// duplicates cost a count bump rather than repeated work in the engine.
 func InferContentModel(sample [][]string, algo Algorithm, opts *Options) (*Expr, error) {
-	return core.InferExpr(sample, algo, opts)
+	return core.InferSampleExpr(smp.FromStrings(sample), algo, opts)
 }
 
 // InferDTD extracts element sequences from the XML documents and infers a
@@ -210,16 +168,6 @@ func InferDTD(docs []io.Reader, algo Algorithm, opts *Options) (*DTD, error) {
 func InferDTDContext(ctx context.Context, docs []io.Reader, algo Algorithm, opts *Options) (*DTD, error) {
 	_, d, _, _, err := inferDocs(ctx, docs, algo, opts, nil, FailFast)
 	return d, err
-}
-
-// InferDTDFromExtraction infers a DTD from pre-extracted sequences,
-// supporting incremental workflows where extraction state is kept while new
-// documents arrive. Repeated calls with the same algorithm and options are
-// memoized per element: only elements whose samples changed since the
-// previous call re-enter the engines, and the result stays byte-identical
-// to a cold inference.
-func InferDTDFromExtraction(x *Extraction, algo Algorithm, opts *Options) (*DTD, error) {
-	return core.InferDTDFromExtraction(x, algo, opts)
 }
 
 // Doc is one labelled document in an ingestion batch: a reader plus the
@@ -245,50 +193,10 @@ func NewIncremental(algo Algorithm, opts *Options) *Incremental {
 	return core.NewIncremental(algo, opts)
 }
 
-// NewIncrementalFromExtraction wraps an existing extraction — typically
-// one recovered with LoadCorpus — so incremental inference resumes from
-// persisted state instead of an empty corpus.
-func NewIncrementalFromExtraction(x *Extraction, algo Algorithm, opts *Options) *Incremental {
-	return core.NewIncrementalFromExtraction(x, algo, opts)
-}
-
-// RetryPolicy bounds a retried operation: attempts, exponential backoff
-// with jitter, and a backoff cap. The zero value means the defaults
-// (3 attempts, 50ms initial backoff, 2s cap).
-type RetryPolicy = core.RetryPolicy
-
-// SaveCorpusRetry is SaveCorpus under a retry policy: transient write
-// failures are retried with jittered exponential backoff. A nil policy
-// uses the defaults.
-func SaveCorpusRetry(x *Extraction, path string, policy *RetryPolicy) error {
-	return core.SaveCorpusRetry(x, path, policy)
-}
-
 // ChangeFeed renders what changed between two published snapshots
 // ("v3→v4: modified <order>, added <sku>"). A nil prev reports every
 // element as added.
 func ChangeFeed(prev, next *Snapshot) string { return core.ChangeFeed(prev, next) }
-
-// SaveCorpus writes the extraction's corpus summary — counted samples,
-// text and attribute statistics, and incremental-inference state — to
-// path atomically (temp file + rename). A summary is typically kilobytes
-// regardless of corpus size, loads in time proportional to its own size,
-// and infers byte-identically to the extraction it was saved from.
-func SaveCorpus(x *Extraction, path string) error { return core.SaveCorpus(x, path) }
-
-// LoadCorpus reads a corpus summary written by SaveCorpus. The bytes are
-// validated as untrusted input: corruption yields an error, never a
-// panic. The loaded extraction accepts further documents, merges with
-// other summaries via MergeSummary, and replays any cached content
-// models it was saved with.
-func LoadCorpus(path string) (*Extraction, error) { return core.LoadCorpus(path) }
-
-// WriteCorpus and ReadCorpus are the io.Writer/io.Reader forms of
-// SaveCorpus and LoadCorpus.
-func WriteCorpus(x *Extraction, w io.Writer) error { return core.WriteCorpus(x, w) }
-
-// ReadCorpus reads a corpus summary from r; see WriteCorpus.
-func ReadCorpus(r io.Reader) (*Extraction, error) { return core.ReadCorpus(r) }
 
 // InferXSD infers a schema and renders it as W3C XML Schema with datatype
 // detection over the sampled text values.
@@ -306,28 +214,19 @@ func InferXSDContext(ctx context.Context, docs []io.Reader, algo Algorithm, opts
 	return xsd.Generate(d, x.TextSamples), nil
 }
 
-// GenerateXSD renders an existing DTD as XML Schema; textSamples (may be
-// nil) drives datatype detection for text-only elements.
-func GenerateXSD(d *DTD, textSamples map[string][]string) string {
-	return xsd.Generate(d, textSamples)
-}
-
-// ParseXSD reads an XML Schema document (the DTD-expressible subset that
-// GenerateXSD emits) back into a DTD.
-func ParseXSD(src string) (*DTD, error) { return xsd.Parse(src) }
-
-// Attribute is one attribute declaration of an element; inference derives
-// ID/IDREF/enumeration/NMTOKEN types and #REQUIRED/#IMPLIED use from the
-// observed attribute values.
-type Attribute = dtd.Attribute
-
 // IncrementalCRX is the summary state for incremental CHARE inference
-// (Section 9): fold strings in with AddString, combine summaries with
-// Merge, and obtain the current expression with Infer.
+// (Section 9): summarize strings with NewIncrementalCRX, combine summaries
+// with Merge, and obtain the current expression with Infer.
 type IncrementalCRX = crx.State
 
-// NewIncrementalCRX returns an empty CRX summary.
-func NewIncrementalCRX() *IncrementalCRX { return crx.NewState() }
+// NewIncrementalCRX returns the CRX summary of the given strings (nil for
+// an empty one). The summary keeps the →W order relation and occurrence
+// profiles capped at two, so the strings themselves can be forgotten.
+func NewIncrementalCRX(sample [][]string) *IncrementalCRX {
+	st := crx.NewState()
+	st.AddSample(smp.FromStrings(sample))
+	return st
+}
 
 // ContextualSchema is a schema with k-local typing: the content model of
 // an element may depend on up to k ancestor names, exceeding DTD
@@ -340,7 +239,7 @@ type ContextualSchema = contextual.Schema
 // contextual schema with the chosen algorithm. Contexts of an element with
 // equivalent content languages and equivalent child typing are merged, so
 // the schema has as few types as the data supports; render it with ToXSD,
-// flatten with ToDTD, or validate with contextual.NewValidator.
+// flatten with ToDTD, or validate with NewContextualValidator.
 func InferContextualSchema(docs []io.Reader, k int, algo Algorithm, opts *Options) (*ContextualSchema, error) {
 	x := contextual.NewExtraction(k)
 	for _, r := range docs {
@@ -348,32 +247,12 @@ func InferContextualSchema(docs []io.Reader, k int, algo Algorithm, opts *Option
 			return nil, err
 		}
 	}
-	return x.InferSchema(core.Inferrer(algo, opts))
+	return x.InferSchema(func(s *smp.Set) (*Expr, error) {
+		return core.InferSampleExpr(s, algo, opts)
+	})
 }
 
 // NewContextualValidator compiles a contextual schema for validation.
 func NewContextualValidator(s *ContextualSchema) *contextual.Validator {
 	return contextual.NewValidator(s)
-}
-
-// IncrementalSOA is the single occurrence automaton summary for
-// incremental SORE inference: fold strings in with AddString, combine with
-// Merge, and obtain the current SORE with InferSORE. The automaton is
-// quadratic in the alphabet regardless of how much data it has absorbed.
-type IncrementalSOA = soa.SOA
-
-// NewIncrementalSOA returns an empty automaton summary.
-func NewIncrementalSOA() *IncrementalSOA { return soa.New() }
-
-// InferSORE runs iDTD on an accumulated automaton summary.
-func InferSORE(a *IncrementalSOA, opts *Options) (*Expr, error) {
-	var io *IDTDOptions
-	if opts != nil {
-		io = &opts.IDTD
-	}
-	res, err := idtd.FromSOA(a, io)
-	if err != nil {
-		return nil, err
-	}
-	return res.Expr, nil
 }

@@ -1,13 +1,19 @@
 package dtdinfer
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
 	"sync"
 	"testing"
 
+	"dtdinfer/internal/core"
 	"dtdinfer/internal/corpus"
+	"dtdinfer/internal/dtd"
+	"dtdinfer/internal/idtd"
+	"dtdinfer/internal/soa"
+	"dtdinfer/internal/xsd"
 )
 
 var quickDocs = []string{
@@ -107,12 +113,10 @@ func TestInferXSDEndToEnd(t *testing.T) {
 }
 
 func TestIncrementalCRXFacade(t *testing.T) {
-	inc := NewIncrementalCRX()
-	inc.AddString([]string{"a", "b"})
-	later := NewIncrementalCRX()
-	later.AddString([]string{"a"})
+	inc := NewIncrementalCRX([][]string{{"a", "b"}})
+	later := NewIncrementalCRX([][]string{{"a"}})
 	inc.Merge(later)
-	res, err := inc.Infer()
+	res, err := inc.Infer(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +126,10 @@ func TestIncrementalCRXFacade(t *testing.T) {
 }
 
 func TestParseAlgorithm(t *testing.T) {
-	if _, err := ParseAlgorithm("idtd"); err != nil {
+	if _, err := core.ParseAlgorithm("idtd"); err != nil {
 		t.Error(err)
 	}
-	if _, err := ParseAlgorithm("nope"); err == nil {
+	if _, err := core.ParseAlgorithm("nope"); err == nil {
 		t.Error("want error for unknown algorithm")
 	}
 }
@@ -163,7 +167,7 @@ func TestXSDRoundTripThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseXSD(GenerateXSD(d, nil))
+	back, err := xsd.Parse(xsd.Generate(d, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,17 +194,14 @@ func TestAttributeInferenceThroughFacade(t *testing.T) {
 }
 
 func TestIncrementalSOAFacade(t *testing.T) {
-	inc := NewIncrementalSOA()
-	inc.AddString([]string{"a", "b"})
-	later := NewIncrementalSOA()
-	later.AddString([]string{"a", "b", "b"})
-	inc.Merge(later)
-	e, err := InferSORE(inc, nil)
+	inc := soa.Infer([][]string{{"a", "b"}})
+	inc.Merge(soa.Infer([][]string{{"a", "b", "b"}}))
+	res, err := idtd.FromSOA(context.Background(), inc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.String() != "a b+" {
-		t.Errorf("incremental SORE = %q", e)
+	if res.Expr.String() != "a b+" {
+		t.Errorf("incremental SORE = %q", res.Expr)
 	}
 }
 
@@ -273,7 +274,7 @@ func TestInferDTDWithReportPublicAPI(t *testing.T) {
 // caches and dirty bits, so calls must be serialized, and every caller
 // must get the same DTD.
 func TestInferDTDFromExtractionConcurrent(t *testing.T) {
-	x := NewExtraction()
+	x := dtd.NewExtraction()
 	for _, doc := range quickDocs {
 		if err := x.AddDocument(strings.NewReader(doc)); err != nil {
 			t.Fatal(err)
@@ -285,7 +286,7 @@ func TestInferDTDFromExtractionConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			d, err := InferDTDFromExtraction(x, IDTD, nil)
+			d, err := core.InferDTDFromExtraction(x, IDTD, nil)
 			if err != nil {
 				t.Errorf("concurrent InferDTDFromExtraction: %v", err)
 				return
@@ -310,7 +311,7 @@ func TestIngestOptionsRejectDeepNesting(t *testing.T) {
 		b.WriteString("<d>")
 	}
 	// Never closed: the depth cap must fire long before EOF handling.
-	x := NewExtraction()
+	x := dtd.NewExtraction()
 	err := x.AddDocumentOptions(strings.NewReader(b.String()), DefaultIngestOptions())
 	if err == nil {
 		t.Fatal("deep nesting must be rejected")

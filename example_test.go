@@ -1,6 +1,7 @@
 package dtdinfer_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -88,15 +89,14 @@ func ExampleNewValidator() {
 
 // Incremental CHARE inference: summarize batches, merge, infer.
 func ExampleNewIncrementalCRX() {
-	inc := dtdinfer.NewIncrementalCRX()
-	inc.AddString([]string{"customer", "item", "total"})
-	inc.AddString([]string{"customer", "item", "item", "total"})
-
-	later := dtdinfer.NewIncrementalCRX()
-	later.AddString([]string{"customer", "total"})
+	inc := dtdinfer.NewIncrementalCRX([][]string{
+		{"customer", "item", "total"},
+		{"customer", "item", "item", "total"},
+	})
+	later := dtdinfer.NewIncrementalCRX([][]string{{"customer", "total"}})
 	inc.Merge(later)
 
-	res, err := inc.Infer()
+	res, err := inc.Infer(context.Background())
 	if err != nil {
 		panic(err)
 	}

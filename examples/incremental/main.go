@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,17 +30,14 @@ var batches = [][][]string{
 }
 
 func main() {
-	inc := dtdinfer.NewIncrementalCRX()
+	ctx := context.Background()
+	inc := dtdinfer.NewIncrementalCRX(nil)
 	for i, batch := range batches {
 		// Summarize only the new strings, then merge — the XML that
 		// produced them can be forgotten.
-		fresh := dtdinfer.NewIncrementalCRX()
-		for _, w := range batch {
-			fresh.AddString(w)
-		}
-		inc.Merge(fresh)
+		inc.Merge(dtdinfer.NewIncrementalCRX(batch))
 
-		res, err := inc.Infer()
+		res, err := inc.Infer(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,7 +54,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	incRes, err := inc.Infer()
+	incRes, err := inc.Infer(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -38,7 +39,7 @@ func main() {
 	a := soa.Infer(sample)
 	reportSupports(a)
 	a.PruneSupport(10, 0)
-	pruned, err := idtd.FromSOA(a, nil)
+	pruned, err := idtd.FromSOA(context.Background(), a, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"dtdinfer/internal/core"
 	"dtdinfer/internal/corpus"
 	"dtdinfer/internal/dtd"
 )
@@ -20,15 +21,15 @@ import (
 // inferOutcome renders an inference result for comparison: the DTD text
 // on success, the error text on failure (engines like rewrite-only fail
 // on non-representative samples; warm and cold must fail identically).
-func inferOutcome(x *Extraction, algo Algorithm) string {
-	d, err := InferDTDFromExtraction(x, algo, nil)
+func inferOutcome(x *dtd.Extraction, algo Algorithm) string {
+	d, err := core.InferDTDFromExtraction(x, algo, nil)
 	if err != nil {
 		return "error: " + err.Error()
 	}
 	return d.String()
 }
 
-func ingestBatch(t *testing.T, x *Extraction, docs []string, workers int, shape readShape) {
+func ingestBatch(t *testing.T, x *dtd.Extraction, docs []string, workers int, shape readShape) {
 	t.Helper()
 	batch := make([]dtd.Doc, len(docs))
 	for i, d := range docs {
@@ -67,14 +68,14 @@ func TestIncrementalColdWarmIdentical(t *testing.T) {
 	algos := []Algorithm{IDTD, CRX, RewriteOnly, XTRACT, TrangLike, StateElim}
 	for _, algo := range algos {
 		t.Run(string(algo), func(t *testing.T) {
-			warm := NewExtraction()
+			warm := dtd.NewExtraction()
 			var all []string
 			for bi, batch := range equivBatches() {
 				all = append(all, batch...)
 				ingestBatch(t, warm, batch, 1, wholeReads)
 				got := inferOutcome(warm, algo)
 
-				cold := NewExtraction()
+				cold := dtd.NewExtraction()
 				ingestBatch(t, cold, all, 1, wholeReads)
 				want := inferOutcome(cold, algo)
 				if got != want {
@@ -105,14 +106,14 @@ func TestIncrementalInterleavedEquivalence(t *testing.T) {
 			}
 			for _, algo := range algos {
 				t.Run(fmt.Sprintf("%s/workers=%d/%s", shape.name, workers, algo), func(t *testing.T) {
-					warm := NewExtraction()
+					warm := dtd.NewExtraction()
 					var all []string
 					for bi, batch := range batches {
 						all = append(all, batch...)
 						ingestBatch(t, warm, batch, workers, shape)
 						got := inferOutcome(warm, algo)
 
-						cold := NewExtraction()
+						cold := dtd.NewExtraction()
 						ingestBatch(t, cold, all, 1, shape)
 						want := inferOutcome(cold, algo)
 						if got != want {

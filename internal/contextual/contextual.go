@@ -5,7 +5,7 @@
 // Bex, Neven, Martens and Schwentick.
 //
 // The implementation realizes k-local typing: example strings are
-// collected per context (the path suffix of up to k ancestor names), a
+// counted per context (the path suffix of up to k ancestor names), a
 // content model is inferred per context with any of the library's
 // algorithms, and contexts of the same element whose inferred languages
 // coincide are merged back together. A DTD corresponds to k = 0 (every
@@ -25,6 +25,7 @@ import (
 	"dtdinfer/internal/automata"
 	"dtdinfer/internal/dtd"
 	"dtdinfer/internal/regex"
+	"dtdinfer/internal/sample"
 	"dtdinfer/internal/xmltok"
 )
 
@@ -45,8 +46,9 @@ func (c Context) Element() string {
 type Extraction struct {
 	// K is the number of ancestor names kept in a context (default 1).
 	K int
-	// Sequences maps a context to the observed children sequences.
-	Sequences map[Context][][]string
+	// Sequences maps a context to the counted multiset of observed
+	// children sequences, as dtd.Extraction keeps them per element.
+	Sequences map[Context]*sample.Set
 	// HasText marks contexts with non-whitespace character data.
 	HasText map[Context]bool
 	// Roots counts observed root element names.
@@ -58,7 +60,7 @@ type Extraction struct {
 func NewExtraction(k int) *Extraction {
 	return &Extraction{
 		K:         k,
-		Sequences: map[Context][][]string{},
+		Sequences: map[Context]*sample.Set{},
 		HasText:   map[Context]bool{},
 		Roots:     map[string]int{},
 	}
@@ -87,7 +89,7 @@ func (x *Extraction) AddDocumentOptions(r io.Reader, opts *dtd.IngestOptions) er
 // must have been collected with the same K for the result to be coherent.
 func (x *Extraction) Merge(o *Extraction) {
 	for c, seqs := range o.Sequences {
-		x.Sequences[c] = append(x.Sequences[c], seqs...)
+		x.sampleOf(c).Merge(seqs)
 	}
 	for c, has := range o.HasText {
 		if has {
@@ -147,7 +149,7 @@ func (x *Extraction) extract(r io.Reader, opts *dtd.IngestOptions) error {
 		case xmltok.EndElement:
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			x.Sequences[top.ctx] = append(x.Sequences[top.ctx], top.children)
+			x.sampleOf(top.ctx).Add(top.children)
 		case xmltok.CharData:
 			if len(stack) > 0 && len(bytes.TrimSpace(rd.Text())) != 0 {
 				x.HasText[stack[len(stack)-1].ctx] = true
@@ -164,6 +166,16 @@ func parseError(err error) error {
 		return err
 	}
 	return fmt.Errorf("contextual: parsing XML: %w", err)
+}
+
+// sampleOf returns the context's counted sample, creating it on first use.
+func (x *Extraction) sampleOf(c Context) *sample.Set {
+	s := x.Sequences[c]
+	if s == nil {
+		s = sample.New()
+		x.Sequences[c] = s
+	}
+	return s
 }
 
 func (x *Extraction) context(ancestors []string, name string) Context {
@@ -205,9 +217,10 @@ type Schema struct {
 	typeOf map[Context]*Type
 }
 
-// InferSchema infers per-context content models with the given inferrer
-// and merges contexts of an element whose languages coincide.
-func (x *Extraction) InferSchema(infer dtd.InferFunc) (*Schema, error) {
+// InferSchema infers per-context content models with the given inferrer,
+// which maps one context's counted sample to a content model, and merges
+// contexts of an element whose languages coincide.
+func (x *Extraction) InferSchema(infer func(*sample.Set) (*regex.Expr, error)) (*Schema, error) {
 	contexts := make([]Context, 0, len(x.Sequences))
 	for c := range x.Sequences {
 		contexts = append(contexts, c)
@@ -269,18 +282,11 @@ func (x *Extraction) InferSchema(infer dtd.InferFunc) (*Schema, error) {
 	return s, nil
 }
 
-func (x *Extraction) inferOne(c Context, infer dtd.InferFunc) (*Type, error) {
+func (x *Extraction) inferOne(c Context, infer func(*sample.Set) (*regex.Expr, error)) (*Type, error) {
 	seqs := x.Sequences[c]
-	hasChildren := false
-	childSet := map[string]bool{}
-	for _, w := range seqs {
-		if len(w) > 0 {
-			hasChildren = true
-		}
-		for _, s := range w {
-			childSet[s] = true
-		}
-	}
+	// The sample interns only symbols that occur in some sequence, so its
+	// alphabet is exactly the observed children.
+	hasChildren := seqs.NumSymbols() > 0
 	ty := &Type{Element: c.Element()}
 	switch {
 	case !hasChildren && x.HasText[c]:
@@ -289,10 +295,7 @@ func (x *Extraction) inferOne(c Context, infer dtd.InferFunc) (*Type, error) {
 		ty.Kind = dtd.Empty
 	case x.HasText[c]:
 		ty.Kind = dtd.Mixed
-		for s := range childSet {
-			ty.MixedNames = append(ty.MixedNames, s)
-		}
-		sort.Strings(ty.MixedNames)
+		ty.MixedNames = seqs.Symbols()
 	default:
 		model, err := infer(seqs)
 		if err != nil {

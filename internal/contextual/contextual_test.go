@@ -1,6 +1,7 @@
 package contextual
 
 import (
+	"context"
 	"encoding/xml"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"dtdinfer/internal/dtd"
 	"dtdinfer/internal/gfa"
 	"dtdinfer/internal/regex"
+	"dtdinfer/internal/sample"
 	"dtdinfer/internal/soa"
 )
 
@@ -22,8 +24,9 @@ const storeDoc = `<store>
   <book><name><title>T2</title></name><author><name><first>C</first><last>D</last></name></author></book>
 </store>`
 
-func soreInfer(sample [][]string) (*regex.Expr, error) {
-	return gfa.Rewrite(soa.Infer(sample))
+// soreInfer runs rewrite over the 2T-INF automaton of a context's sample.
+func soreInfer(s *sample.Set) (*regex.Expr, error) {
+	return gfa.Rewrite(context.Background(), soa.InferSample(s))
 }
 
 func inferStore(t *testing.T, k int) *Schema {
@@ -404,9 +407,10 @@ func snapshotCtx(x *Extraction) string {
 	}
 	sort.Strings(ctxs)
 	for _, c := range ctxs {
-		fmt.Fprintf(&b, "seq %s:", c)
-		for _, s := range x.Sequences[Context(c)] {
-			fmt.Fprintf(&b, " [%s]", strings.Join(s, ","))
+		set := x.Sequences[Context(c)]
+		fmt.Fprintf(&b, "seq %s {%s}:", c, strings.Join(set.SymbolList(), ","))
+		for i := 0; i < set.Unique(); i++ {
+			fmt.Fprintf(&b, " [%s]x%d", strings.Join(set.SeqStrings(i), ","), set.Count(i))
 		}
 		b.WriteByte('\n')
 	}

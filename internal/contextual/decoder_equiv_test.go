@@ -42,15 +42,16 @@ var contextualEquivCorpus = []string{
 // encoding/xml's error messages, applied to both sides before comparing:
 // the location (encoding/xml reports a syntax error "on line N", the
 // tokenizer "at offset N"), and the wording of three errors — the two
-// <?xml?> declaration errors (the tokenizer says "xmltok:" and "only
-// utf-8 is supported" where encoding/xml names its Decoder.CharsetReader
-// hook) and an end tag whose prefix differs from its start tag's.
+// <?xml?> declaration errors (encoding/xml prefixes them "xml:", which the
+// tokenizer leaves out, and names its Decoder.CharsetReader hook where the
+// tokenizer says "only utf-8 is supported") and an end tag whose prefix
+// differs from its start tag's.
 var errRewrites = []struct {
 	re   *regexp.Regexp
 	with string
 }{
 	{regexp.MustCompile(`(on line|at offset) [0-9]+`), "@"},
-	{regexp.MustCompile(`xmltok: `), "xml: "},
+	{regexp.MustCompile(`xml: (unsupported version|encoding )`), "$1"},
 	{regexp.MustCompile(`Decoder\.CharsetReader is nil`), "only utf-8 is supported"},
 	{regexp.MustCompile(`element <([^>]*)> in space .*closed by </([^>]*)> in space \S+`),
 		"element <$1> closed by </$2> in another namespace prefix"},

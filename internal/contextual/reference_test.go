@@ -85,7 +85,7 @@ func (x *Extraction) extractOneStd(r io.Reader, o dtd.IngestOptions) error {
 		case xml.EndElement:
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			x.Sequences[top.ctx] = append(x.Sequences[top.ctx], top.children)
+			x.sampleOf(top.ctx).Add(top.children)
 		case xml.CharData:
 			if len(stack) > 0 && strings.TrimSpace(string(t)) != "" {
 				x.HasText[stack[len(stack)-1].ctx] = true

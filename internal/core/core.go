@@ -27,6 +27,7 @@ import (
 	"dtdinfer/internal/numpred"
 	"dtdinfer/internal/regex"
 	"dtdinfer/internal/sample"
+	"dtdinfer/internal/soa"
 	"dtdinfer/internal/stateelim"
 	"dtdinfer/internal/tranglike"
 	"dtdinfer/internal/xtract"
@@ -190,12 +191,17 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 	return "", fmt.Errorf("core: unknown algorithm %q (want %s)", name, AlgorithmList())
 }
 
+// The six engines register here. Each registration builds the engine's
+// paper-level input from the counted sample — the 2T-INF automaton
+// (soa.InferSample) for iDTD, rewrite, Trang-like and state elimination,
+// the CRX summary for CRX — and calls the engine's one verb; XTRACT reads
+// the sample's distinct strings directly.
 func init() {
 	Register(Learner{
 		Algo: IDTD,
 		Doc:  "SORE inference: 2T-INF + rewrite + repair rules (the paper's iDTD)",
 		Infer: func(ctx context.Context, s *sample.Set, opts *Options) (*regex.Expr, error) {
-			res, err := idtd.InferSampleContext(ctx, s, &opts.IDTD)
+			res, err := idtd.FromSOA(ctx, soa.InferSample(s), &opts.IDTD)
 			if err != nil {
 				return nil, err
 			}
@@ -206,7 +212,9 @@ func init() {
 		Algo: CRX,
 		Doc:  "CHARE inference, strongest on sparse data (the paper's CRX)",
 		Infer: func(ctx context.Context, s *sample.Set, opts *Options) (*regex.Expr, error) {
-			res, err := crx.InferSampleContext(ctx, s)
+			st := crx.NewState()
+			st.AddSample(s)
+			res, err := st.Infer(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -217,28 +225,28 @@ func init() {
 		Algo: RewriteOnly,
 		Doc:  "rewrite without repair rules; fails on non-representative samples (Figure 4)",
 		Infer: func(ctx context.Context, s *sample.Set, opts *Options) (*regex.Expr, error) {
-			return gfa.InferSampleContext(ctx, s)
+			return gfa.Rewrite(ctx, soa.InferSample(s))
 		},
 	})
 	Register(Learner{
 		Algo: XTRACT,
 		Doc:  "reconstruction of the Garofalakis et al. XTRACT system",
 		Infer: func(ctx context.Context, s *sample.Set, opts *Options) (*regex.Expr, error) {
-			return xtract.InferSampleContext(ctx, s, &opts.XTRACT)
+			return xtract.Infer(ctx, s, &opts.XTRACT)
 		},
 	})
 	Register(Learner{
 		Algo: TrangLike,
 		Doc:  "reconstruction of Trang's inference strategy",
 		Infer: func(ctx context.Context, s *sample.Set, opts *Options) (*regex.Expr, error) {
-			return tranglike.InferSampleContext(ctx, s)
+			return tranglike.FromSOA(ctx, soa.InferSample(s))
 		},
 	})
 	Register(Learner{
 		Algo: StateElim,
 		Doc:  "classical state elimination over the 2T-INF automaton (negative baseline)",
 		Infer: func(ctx context.Context, s *sample.Set, opts *Options) (*regex.Expr, error) {
-			return stateelim.InferSampleContext(ctx, s)
+			return stateelim.FromSOA(ctx, soa.InferSample(s))
 		},
 	})
 }
@@ -266,22 +274,6 @@ func InferSampleExpr(s *sample.Set, algo Algorithm, opts *Options) (*regex.Expr,
 		e = numpred.RefineSample(e, s)
 	}
 	return e, nil
-}
-
-// InferExpr derives a content-model expression from positive example
-// strings with the chosen algorithm. The strings are folded into the
-// counted sample representation first, so duplicates cost a count bump
-// rather than repeated work in the engine.
-func InferExpr(strs [][]string, algo Algorithm, opts *Options) (*regex.Expr, error) {
-	return InferSampleExpr(sample.FromStrings(strs), algo, opts)
-}
-
-// Inferrer adapts an algorithm to the dtd.InferFunc shape (verbatim
-// strings), used by consumers that assemble their own string samples.
-func Inferrer(algo Algorithm, opts *Options) dtd.InferFunc {
-	return func(sample [][]string) (*regex.Expr, error) {
-		return InferExpr(sample, algo, opts)
-	}
 }
 
 // Ingest is the single ingestion pipeline behind every document-level

@@ -36,7 +36,7 @@ func TestParseAlgorithm(t *testing.T) {
 func TestInferExprAllAlgorithmsCoverSample(t *testing.T) {
 	sample := split("ab", "abb", "aab", "b")
 	for _, algo := range []Algorithm{IDTD, CRX, XTRACT, TrangLike, StateElim} {
-		e, err := InferExpr(sample, algo, nil)
+		e, err := inferWords(sample, algo, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -51,17 +51,17 @@ func TestInferExprAllAlgorithmsCoverSample(t *testing.T) {
 func TestRewriteOnlyFailsOnNonRepresentative(t *testing.T) {
 	// The Figure 2 sample: rewrite alone must fail, iDTD must not.
 	sample := split("bacacdacde", "cbacdbacde")
-	if _, err := InferExpr(sample, RewriteOnly, nil); err == nil {
+	if _, err := inferWords(sample, RewriteOnly, nil); err == nil {
 		t.Error("rewrite should fail on the Figure 2 sample")
 	}
-	if _, err := InferExpr(sample, IDTD, nil); err != nil {
+	if _, err := inferWords(sample, IDTD, nil); err != nil {
 		t.Errorf("iDTD should succeed: %v", err)
 	}
 }
 
 func TestNumericPredicatesOption(t *testing.T) {
 	sample := split("aabb", "aabbb")
-	e, err := InferExpr(sample, IDTD, &Options{NumericPredicates: true})
+	e, err := inferWords(sample, IDTD, &Options{NumericPredicates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestInferXSDSmoke(t *testing.T) {
 }
 
 func TestUnknownAlgorithmError(t *testing.T) {
-	if _, err := InferExpr(split("a"), Algorithm("nope"), nil); err == nil {
+	if _, err := inferWords(split("a"), Algorithm("nope"), nil); err == nil {
 		t.Error("want error for unknown algorithm")
 	}
 }

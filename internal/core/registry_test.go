@@ -1,20 +1,19 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
-	"dtdinfer/internal/crx"
 	"dtdinfer/internal/gfa"
 	"dtdinfer/internal/idtd"
-	"dtdinfer/internal/numpred"
 	"dtdinfer/internal/regex"
 	"dtdinfer/internal/sample"
 	"dtdinfer/internal/soa"
 	"dtdinfer/internal/stateelim"
 	"dtdinfer/internal/tranglike"
-	"dtdinfer/internal/xtract"
 )
 
 func TestRegistryDrivesNamesAndErrors(t *testing.T) {
@@ -62,68 +61,57 @@ func equivalenceSamples() [][][]string {
 		split("bacacdacde", "cbacdbacde", "abccaadcde"),
 		split("aabb", "aabb", "aabbb"),
 		{{"x"}, {"x"}, {"x"}, nil},
+		// Under a noise threshold of 2 iDTD's answer here depends on the
+		// edge supports: without the multiplicities it differs.
+		split("bbcd", "ddac", "ddac", "babd", "babd", "dbd", "bb", "bb"),
 	}
 }
 
+// ctx is the background context the reference engines run under.
+var ctx = context.Background()
+
+// inferWords runs one engine on the counted sample of a verbatim sample.
+func inferWords(ws [][]string, algo Algorithm, opts *Options) (*regex.Expr, error) {
+	return InferSampleExpr(sample.FromStrings(ws), algo, opts)
+}
+
 // TestEnginesInferSampleMatchesInfer checks, engine by engine, that the
-// counted-sample entry point renders the exact expression of the verbatim
-// string entry point on the same data.
+// registered learner renders the exact expression its engine gives on the
+// verbatim reference input: the automaton soa.Infer folds string by
+// string. CRX's summary and XTRACT's distinct strings have their verbatim
+// references in their own packages (crx.TestAddSampleMatchesAddString,
+// xtract.TestInferMatchesDedupReference).
 func TestEnginesInferSampleMatchesInfer(t *testing.T) {
 	type engine struct {
-		name       string
-		fromString func([][]string) (*regex.Expr, error)
-		fromSample func(*sample.Set) (*regex.Expr, error)
+		algo       Algorithm
+		opts       *Options
+		fromString func(*soa.SOA) (*regex.Expr, error)
 	}
+	idtdWith := func(o *idtd.Options) func(*soa.SOA) (*regex.Expr, error) {
+		return func(a *soa.SOA) (*regex.Expr, error) {
+			r, err := idtd.FromSOA(ctx, a, o)
+			if err != nil {
+				return nil, err
+			}
+			return r.Expr, nil
+		}
+	}
+	// The noise-aware iDTD reads edge supports, so it also holds the
+	// registration to the sample's multiplicities.
+	noisy := &Options{IDTD: idtd.Options{NoiseThreshold: 2}}
 	engines := []engine{
-		{"idtd",
-			func(s [][]string) (*regex.Expr, error) {
-				r, err := idtd.Infer(s, nil)
-				if err != nil {
-					return nil, err
-				}
-				return r.Expr, nil
-			},
-			func(s *sample.Set) (*regex.Expr, error) {
-				r, err := idtd.InferSample(s, nil)
-				if err != nil {
-					return nil, err
-				}
-				return r.Expr, nil
-			}},
-		{"crx",
-			func(s [][]string) (*regex.Expr, error) {
-				r, err := crx.Infer(s)
-				if err != nil {
-					return nil, err
-				}
-				return r.Expr, nil
-			},
-			func(s *sample.Set) (*regex.Expr, error) {
-				r, err := crx.InferSample(s)
-				if err != nil {
-					return nil, err
-				}
-				return r.Expr, nil
-			}},
-		{"rewrite",
-			func(s [][]string) (*regex.Expr, error) { return gfa.Rewrite(soa.Infer(s)) },
-			gfa.InferSample},
-		{"xtract",
-			func(s [][]string) (*regex.Expr, error) { return xtract.Infer(s, nil) },
-			func(s *sample.Set) (*regex.Expr, error) { return xtract.InferSample(s, nil) }},
-		{"trang",
-			tranglike.Infer,
-			tranglike.InferSample},
-		{"stateelim",
-			func(s [][]string) (*regex.Expr, error) { return stateelim.FromSOA(soa.Infer(s)) },
-			stateelim.InferSample},
+		{IDTD, nil, idtdWith(nil)},
+		{IDTD, noisy, idtdWith(&noisy.IDTD)},
+		{RewriteOnly, nil, func(a *soa.SOA) (*regex.Expr, error) { return gfa.Rewrite(ctx, a) }},
+		{TrangLike, nil, func(a *soa.SOA) (*regex.Expr, error) { return tranglike.FromSOA(ctx, a) }},
+		{StateElim, nil, func(a *soa.SOA) (*regex.Expr, error) { return stateelim.FromSOA(ctx, a) }},
 	}
 	for _, eng := range engines {
 		for i, strs := range equivalenceSamples() {
-			want, errS := eng.fromString(strs)
-			got, errC := eng.fromSample(sample.FromStrings(strs))
+			want, errS := eng.fromString(soa.Infer(strs))
+			got, errC := inferWords(strs, eng.algo, eng.opts)
 			if (errS == nil) != (errC == nil) {
-				t.Errorf("%s sample %d: string err=%v, counted err=%v", eng.name, i, errS, errC)
+				t.Errorf("%s sample %d: string err=%v, counted err=%v", eng.algo, i, errS, errC)
 				continue
 			}
 			if errS != nil {
@@ -131,7 +119,7 @@ func TestEnginesInferSampleMatchesInfer(t *testing.T) {
 			}
 			if want.String() != got.String() {
 				t.Errorf("%s sample %d: counted path diverges:\n  strings: %s\n  counted: %s",
-					eng.name, i, want, got)
+					eng.algo, i, want, got)
 			}
 		}
 	}
@@ -153,35 +141,17 @@ func TestSOAInferSampleMatchesInfer(t *testing.T) {
 	}
 }
 
-func TestNumpredRefineSampleMatchesRefine(t *testing.T) {
-	for i, strs := range equivalenceSamples() {
-		e, err := InferExpr(strs, IDTD, nil)
-		if err != nil {
-			continue
-		}
-		want := numpred.Refine(e, strs)
-		got := numpred.RefineSample(e, sample.FromStrings(strs))
-		if want.String() != got.String() {
-			t.Errorf("sample %d: %s vs %s", i, want, got)
-		}
-	}
-}
-
-func TestInferSampleExprMatchesInferExpr(t *testing.T) {
-	for _, algo := range []Algorithm{IDTD, CRX, RewriteOnly, XTRACT, TrangLike, StateElim} {
-		for i, strs := range equivalenceSamples() {
-			for _, numeric := range []bool{false, true} {
-				opts := &Options{NumericPredicates: numeric}
-				want, errS := InferExpr(strs, algo, opts)
-				got, errC := InferSampleExpr(sample.FromStrings(strs), algo, opts)
-				if (errS == nil) != (errC == nil) {
-					t.Errorf("%s sample %d numeric=%v: err %v vs %v", algo, i, numeric, errS, errC)
-					continue
-				}
-				if errS == nil && want.String() != got.String() {
-					t.Errorf("%s sample %d numeric=%v: %s vs %s", algo, i, numeric, want, got)
-				}
-			}
+// TestLearnersHonorCancelledContext runs every registered learner through
+// its one verb under an already-cancelled context: each must give up with
+// an error matching context.Canceled instead of inferring.
+func TestLearnersHonorCancelledContext(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	s := sample.FromStrings(split("bacacdacde", "cbacdbacde", "abccaadcde"))
+	for _, l := range Learners() {
+		e, err := l.Infer(cancelled, s, &Options{})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: got (%v, %v), want an error matching context.Canceled", l.Algo, e, err)
 		}
 	}
 }

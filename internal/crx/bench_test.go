@@ -5,6 +5,7 @@ import (
 
 	"dtdinfer/internal/datagen"
 	"dtdinfer/internal/regex"
+	smp "dtdinfer/internal/sample"
 )
 
 // BenchmarkCRXBySampleSize measures the near-linear scaling of CRX in the
@@ -15,7 +16,7 @@ func BenchmarkCRXBySampleSize(b *testing.B) {
 		sample := datagen.NewSampler(1).SampleN(target, n)
 		b.Run(itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Infer(sample); err != nil {
+				if _, err := inferWords(sample); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -23,14 +24,15 @@ func BenchmarkCRXBySampleSize(b *testing.B) {
 	}
 }
 
-// BenchmarkCRXIncrementalAdd measures the per-string cost of the summary.
+// BenchmarkCRXIncrementalAdd measures the cost of folding a counted
+// 1024-string sample into the summary.
 func BenchmarkCRXIncrementalAdd(b *testing.B) {
 	target := regex.MustParse("a1? a2 (a3 + a4 + a5)* a6+")
-	sample := datagen.NewSampler(2).SampleN(target, 1024)
+	set := smp.FromStrings(datagen.NewSampler(2).SampleN(target, 1024))
 	st := NewState()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.AddString(sample[i%len(sample)])
+		st.AddSample(set)
 	}
 }
 

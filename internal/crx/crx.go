@@ -22,7 +22,6 @@ import (
 
 	"dtdinfer/internal/gfa"
 	"dtdinfer/internal/regex"
-	smp "dtdinfer/internal/sample"
 )
 
 // ErrCycle is reported when the class DAG — acyclic by construction on
@@ -40,44 +39,12 @@ type Result struct {
 	Classes [][]string
 }
 
-// Infer runs CRX on a sample of strings. It fails with gfa.ErrEmpty when
-// the sample contains no symbols at all.
-func Infer(sample [][]string) (*Result, error) {
-	st := NewState()
-	for _, w := range sample {
-		st.AddString(w)
-	}
-	return st.Infer()
-}
-
-// InferSample runs CRX on a counted, interned sample: multiplicities feed
-// the quantifier statistics directly, each unique sequence is summarized
-// once, and the result is identical to Infer on the expanded strings.
-func InferSample(s *smp.Set) (*Result, error) {
-	st := NewState()
-	st.AddSample(s)
-	return st.Infer()
-}
-
-// InferSampleContext is InferSample under a context: class construction
-// checks for cancellation between its phases and inside the topological
-// sort.
-func InferSampleContext(ctx context.Context, s *smp.Set) (*Result, error) {
-	st := NewState()
-	st.AddSample(s)
-	return st.InferContext(ctx)
-}
-
-// Infer computes the CHARE from the accumulated summary.
-func (st *State) Infer() (*Result, error) {
-	return st.InferContext(context.Background())
-}
-
-// InferContext is Infer with cooperative cancellation: the phases of class
-// construction — SCC contraction, Hasse-diagram building, singleton
-// merging, topological sort — each start with a checkpoint, and the
-// quadratic sort checks once per emitted class.
-func (st *State) InferContext(ctx context.Context) (*Result, error) {
+// Infer computes the CHARE from the accumulated summary. It fails with
+// gfa.ErrEmpty when the summary holds no symbols at all. The phases of
+// class construction — SCC contraction, Hasse-diagram building, singleton
+// merging, topological sort — each start with a cancellation checkpoint,
+// and the quadratic sort checks once per emitted class.
+func (st *State) Infer(ctx context.Context) (*Result, error) {
 	syms := st.symbols()
 	if len(syms) == 0 {
 		return nil, gfa.ErrEmpty

@@ -1,14 +1,53 @@
 package crx
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dtdinfer/internal/automata"
 	"dtdinfer/internal/datagen"
 	"dtdinfer/internal/regex"
 	"dtdinfer/internal/regextest"
+	smp "dtdinfer/internal/sample"
 )
+
+// ctx is the background context the tests run CRX under.
+var ctx = context.Background()
+
+// inferWords runs CRX on the counted sample of a verbatim sample, the path
+// every production caller takes.
+func inferWords(ws [][]string) (*Result, error) {
+	st := NewState()
+	st.AddSample(smp.FromStrings(ws))
+	return st.Infer(ctx)
+}
+
+// addString folds one verbatim string into the summary. It is the
+// reference the counted AddSample is held to: the per-string fold the
+// summary was defined by, before samples were counted.
+func (st *State) addString(w []string) {
+	st.total++
+	st.gen++
+	st.touched = st.touched[:0]
+	prev := -1
+	for _, s := range w {
+		id := st.internID(s)
+		if st.stamp[id] != st.gen {
+			st.stamp[id] = st.gen
+			st.counts[id] = 1
+			st.touched = append(st.touched, int32(id))
+		} else if st.counts[id] < 2 {
+			st.counts[id]++
+		}
+		if prev >= 0 {
+			st.edges[prev].Set(id)
+		}
+		prev = id
+	}
+	st.bumpProfileCount(1)
+}
 
 func split(w string) []string {
 	if w == "" {
@@ -31,7 +70,7 @@ func sample(ws ...string) [][]string {
 
 func infer(t *testing.T, ws [][]string) *regex.Expr {
 	t.Helper()
-	res, err := Infer(ws)
+	res, err := inferWords(ws)
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
@@ -52,7 +91,7 @@ func TestCRXSection7Example1(t *testing.T) {
 // Examples 2-4 of Section 7: W = {abccde, cccad, bfegg, bfehi} yields
 // (a+b+c)+ (d+f) e? g* h? i?.
 func TestCRXSection7Examples2to4(t *testing.T) {
-	res, err := Infer(sample("abccde", "cccad", "bfegg", "bfehi"))
+	res, err := inferWords(sample("abccde", "cccad", "bfegg", "bfehi"))
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
@@ -136,10 +175,10 @@ func TestCRXQuantifierAssignment(t *testing.T) {
 }
 
 func TestCRXEmptyError(t *testing.T) {
-	if _, err := Infer(nil); err == nil {
+	if _, err := inferWords(nil); err == nil {
 		t.Fatal("want error on empty sample")
 	}
-	if _, err := Infer([][]string{nil}); err == nil {
+	if _, err := inferWords([][]string{nil}); err == nil {
 		t.Fatal("want error on ε-only sample")
 	}
 }
@@ -165,7 +204,7 @@ func TestCRXContainmentProperty(t *testing.T) {
 		if !nonEmpty {
 			continue
 		}
-		res, err := Infer(ws)
+		res, err := inferWords(ws)
 		if err != nil {
 			t.Fatalf("Infer(%v): %v", ws, err)
 		}
@@ -190,7 +229,7 @@ func TestCRXCompletenessOnRandomCHAREs(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		target := regex.Simplify(regextest.RandomCHARE(rng, alpha))
 		ws := datagen.EdgeCoverSample(target)
-		res, err := Infer(ws)
+		res, err := inferWords(ws)
 		if err != nil {
 			t.Fatalf("Infer failed for %s: %v", target, err)
 		}
@@ -209,7 +248,7 @@ func TestCRXSuperApproximatesSOREs(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		target := regextest.RandomSORE(rng, alpha, 3)
 		ws := datagen.EdgeCoverSample(target)
-		res, err := Infer(ws)
+		res, err := inferWords(ws)
 		if err != nil {
 			continue // e.g. SOREs whose language is {ε}
 		}
@@ -234,19 +273,15 @@ func TestCRXIncrementalEqualsBatch(t *testing.T) {
 			}
 			ws = append(ws, w)
 		}
-		batch, err := Infer(ws)
+		batch, err := inferWords(ws)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st1, st2 := NewState(), NewState()
-		for _, w := range ws[:3] {
-			st1.AddString(w)
-		}
-		for _, w := range ws[3:] {
-			st2.AddString(w)
-		}
+		st1.AddSample(smp.FromStrings(ws[:3]))
+		st2.AddSample(smp.FromStrings(ws[3:]))
 		st1.Merge(st2)
-		inc, err := st1.Infer()
+		inc, err := st1.Infer(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,5 +312,58 @@ func TestProfileCapIsExactForQuantifiers(t *testing.T) {
 	got := infer(t, sample("aaaa", "a"))
 	if got.String() != "a+" {
 		t.Errorf("CRX = %q, want a+", got)
+	}
+}
+
+// TestAddSampleMatchesAddString holds the counted fold to the verbatim one:
+// over dedup-heavy, sparse, empty-containing and random samples, both
+// build the same summary (symbol order, →W edges, capped occurrence
+// profiles with their multiplicities, total) and so infer the same CHARE.
+func TestAddSampleMatchesAddString(t *testing.T) {
+	samples := [][][]string{
+		sample("ab", "abb", "aab", "b"),
+		sample("ab", "ab", "ab", "abb", "abb", "b", ""),
+		sample("bacacdacde", "cbacdbacde", "abccaadcde"),
+		sample("aabb", "aabb", "aabbb"),
+		{{"x"}, {"x"}, {"x"}, nil},
+		{nil},
+		nil,
+	}
+	rng := rand.New(rand.NewSource(7))
+	alpha := []string{"a", "b", "c", "d", "e"}
+	for i := 0; i < 100; i++ {
+		var ws [][]string
+		for j := 0; j < 1+rng.Intn(12); j++ {
+			w := make([]string, rng.Intn(7))
+			for k := range w {
+				w[k] = alpha[rng.Intn(len(alpha))]
+			}
+			ws = append(ws, w, w[:len(w)/2])
+		}
+		samples = append(samples, ws)
+	}
+	for i, ws := range samples {
+		ref := NewState()
+		for _, w := range ws {
+			ref.addString(w)
+		}
+		got := NewState()
+		got.AddSample(smp.FromStrings(ws))
+		if ref.Total() != got.Total() ||
+			!reflect.DeepEqual(ref.tab.Names(), got.tab.Names()) ||
+			!reflect.DeepEqual(ref.edges, got.edges) ||
+			!reflect.DeepEqual(ref.profiles, got.profiles) {
+			t.Fatalf("sample %d %v: counted summary differs from the verbatim one", i, ws)
+		}
+		want, errRef := ref.Infer(ctx)
+		res, errGot := got.Infer(ctx)
+		if (errRef == nil) != (errGot == nil) {
+			t.Fatalf("sample %d: verbatim err=%v, counted err=%v", i, errRef, errGot)
+		}
+		if errRef == nil && (want.Expr.String() != res.Expr.String() ||
+			!reflect.DeepEqual(want.Classes, res.Classes)) {
+			t.Fatalf("sample %d: verbatim %s %v, counted %s %v",
+				i, want.Expr, want.Classes, res.Expr, res.Classes)
+		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 // Symbols are interned into dense IDs assigned in first-seen order, so the
 // ID doubles as the first-seen rank. The →W relation is a bitset adjacency
 // indexed by ID, and per-string occurrence counting uses generation-stamped
-// scratch arrays instead of a fresh map per string, making AddString
+// scratch arrays instead of a fresh map per sequence, making AddSample
 // allocation-free once the alphabet and profile set stabilize.
 type State struct {
 	tab      *intern.Table
@@ -64,32 +64,9 @@ func (st *State) internID(s string) int {
 	return id
 }
 
-// AddString folds one sample string into the summary.
-func (st *State) AddString(w []string) {
-	st.total++
-	st.gen++
-	st.touched = st.touched[:0]
-	prev := -1
-	for _, s := range w {
-		id := st.internID(s)
-		if st.stamp[id] != st.gen {
-			st.stamp[id] = st.gen
-			st.counts[id] = 1
-			st.touched = append(st.touched, int32(id))
-		} else if st.counts[id] < 2 {
-			st.counts[id]++
-		}
-		if prev >= 0 {
-			st.edges[prev].Set(id)
-		}
-		prev = id
-	}
-	st.bumpProfile()
-}
-
 // AddSample folds a counted sample into the summary: each unique sequence
 // is processed once, with its multiplicity added to the matching profile.
-// The result is identical to AddString over the expanded strings —
+// The result is identical to folding in the expanded strings one by one —
 // quantifier assignment only reads per-string occurrence vectors and their
 // multiplicities, both of which the counted path preserves exactly. Symbol
 // IDs are remapped from the sample's intern table once per call, so no
@@ -126,11 +103,8 @@ func (st *State) AddSample(s *smp.Set) {
 	})
 }
 
-// bumpProfile records the occurrence vector of the string just folded in,
-// reading counts for the IDs in touched.
-func (st *State) bumpProfile() { st.bumpProfileCount(1) }
-
-// bumpProfileCount is bumpProfile with a multiplicity.
+// bumpProfileCount records the occurrence vector of the sequence just
+// folded in, reading counts for the IDs in touched, n times over.
 func (st *State) bumpProfileCount(n int) {
 	// Insertion sort: strings rarely touch many distinct symbols, and the
 	// IDs arrive nearly sorted for samples that reuse a stable alphabet.

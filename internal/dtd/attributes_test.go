@@ -3,10 +3,6 @@ package dtd
 import (
 	"strings"
 	"testing"
-
-	"dtdinfer/internal/gfa"
-	"dtdinfer/internal/regex"
-	"dtdinfer/internal/soa"
 )
 
 const attrDoc1 = `<db>
@@ -30,9 +26,7 @@ func inferAttrs(t *testing.T) *DTD {
 			t.Fatal(err)
 		}
 	}
-	d, _, err := inferStrings(x, func(sample [][]string) (*regex.Expr, error) {
-		return gfa.Rewrite(soa.Infer(sample))
-	})
+	d, _, err := inferWith(x, testInfer)
 	if err != nil {
 		t.Fatal(err)
 	}

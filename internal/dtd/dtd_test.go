@@ -3,10 +3,6 @@ package dtd
 import (
 	"strings"
 	"testing"
-
-	"dtdinfer/internal/gfa"
-	"dtdinfer/internal/regex"
-	"dtdinfer/internal/soa"
 )
 
 const proteinDTDFragment = `<!DOCTYPE ProteinDatabase [
@@ -114,9 +110,7 @@ func TestInferDTDFullPipeline(t *testing.T) {
 	if err := x.AddDocument(strings.NewReader(sampleDoc)); err != nil {
 		t.Fatal(err)
 	}
-	d, _, err := inferStrings(x, func(sample [][]string) (*regex.Expr, error) {
-		return gfa.Rewrite(soa.Infer(sample))
-	})
+	d, _, err := inferWith(x, testInfer)
 	if err != nil {
 		t.Fatalf("InferDTD: %v", err)
 	}
@@ -285,9 +279,7 @@ func TestExtractionUnicodeNamesAndText(t *testing.T) {
 	if !x.HasText["項目"] {
 		t.Error("unicode text lost")
 	}
-	d, _, err := inferStrings(x, func(sample [][]string) (*regex.Expr, error) {
-		return gfa.Rewrite(soa.Infer(sample))
-	})
+	d, _, err := inferWith(x, testInfer)
 	if err != nil {
 		t.Fatal(err)
 	}

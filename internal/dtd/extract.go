@@ -182,12 +182,6 @@ func (x *Extraction) Root() string {
 	return best
 }
 
-// InferFunc turns a sample of strings into a content expression. It is the
-// shape for consumers that assemble verbatim string samples themselves
-// (k-local contextual schemas); extraction-level inference takes an
-// InferElementFunc over the counted sample.
-type InferFunc = func(sample [][]string) (*regex.Expr, error)
-
 // ElementOutcome records how one element's content model was obtained:
 // which engine produced the accepted expression, whether (and from which
 // engine) the inference degraded, why, and how long the whole attempt

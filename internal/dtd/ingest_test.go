@@ -95,22 +95,23 @@ func snapshot(x *Extraction) string {
 	return b.String()
 }
 
-func testInfer(sample [][]string) (*regex.Expr, error) {
-	return gfa.Rewrite(soa.Infer(sample))
+// testInfer runs rewrite over the 2T-INF automaton of the sample.
+func testInfer(s *sample.Set) (*regex.Expr, error) {
+	return gfa.Rewrite(context.Background(), soa.InferSample(s))
 }
 
-// inferKeys numbers inferStrings calls.
+// inferKeys numbers inferWith calls.
 var inferKeys atomic.Int64
 
-// inferStrings runs one inference pass with a verbatim-string inferrer.
+// inferWith runs one inference pass with a plain sample inferrer.
 // The model cache is keyed only by CacheConfig.Key, so every call takes
 // a fresh key: a later call with a different inferrer must not replay an
 // earlier one's models.
-func inferStrings(x *Extraction, infer InferFunc) (*DTD, *InferStats, error) {
+func inferWith(x *Extraction, infer func(*sample.Set) (*regex.Expr, error)) (*DTD, *InferStats, error) {
 	cfg := CacheConfig{Key: fmt.Sprintf("strings-%d", inferKeys.Add(1))}
 	return x.InferDTD(context.Background(), cfg,
 		func(_ context.Context, _ string, s *sample.Set) (*regex.Expr, *ElementOutcome, error) {
-			e, err := infer(s.Strings())
+			e, err := infer(s)
 			return e, nil, err
 		})
 }
@@ -246,7 +247,7 @@ func TestAddDocumentsSkipAndRecord(t *testing.T) {
 	if _, err := clean.AddDocsParallelContext(context.Background(), LabelDocs(readers(goodDoc1, goodDoc2)), 1, nil, FailFast); err != nil {
 		t.Fatal(err)
 	}
-	wantDTD, _, err := inferStrings(clean, testInfer)
+	wantDTD, _, err := inferWith(clean, testInfer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestAddDocumentsSkipAndRecord(t *testing.T) {
 		t.Errorf("skip policy left different state than the clean batch:\n%s\nvs\n%s",
 			snapshot(x), snapshot(clean))
 	}
-	got, _, err := inferStrings(x, testInfer)
+	got, _, err := inferWith(x, testInfer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +377,7 @@ func TestInferDTDStats(t *testing.T) {
 	if err := x.AddDocument(strings.NewReader(sampleDoc)); err != nil {
 		t.Fatal(err)
 	}
-	d, stats, err := inferStrings(x, testInfer)
+	d, stats, err := inferWith(x, testInfer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +411,7 @@ func TestInferDTDConcurrentReuse(t *testing.T) {
 		}
 	}
 	infer := func(_ context.Context, _ string, s *sample.Set) (*regex.Expr, *ElementOutcome, error) {
-		e, err := testInfer(s.Strings())
+		e, err := testInfer(s)
 		return e, nil, err
 	}
 	var wg sync.WaitGroup

@@ -73,11 +73,11 @@ func TestSnapshotRoundTripIdentical(t *testing.T) {
 			if got := saveSnapshot(t, loaded); !bytes.Equal(got, data) {
 				t.Fatalf("re-save differs: %d bytes vs %d", len(got), len(data))
 			}
-			want, _, err := inferStrings(x, testInfer)
+			want, _, err := inferWith(x, testInfer)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := inferStrings(loaded, testInfer)
+			got, _, err := inferWith(loaded, testInfer)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -84,7 +84,7 @@ func validatorCases(t testing.TB) []validatorCase {
 				t.Fatal(err)
 			}
 		}
-		d, _, err := inferStrings(x, testInfer)
+		d, _, err := inferWith(x, testInfer)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"dtdinfer/internal/regex"
 	"dtdinfer/internal/regextest"
 	"dtdinfer/internal/sampling"
+	"dtdinfer/internal/soa"
 )
 
 // AblationResult collects the two design-choice studies DESIGN.md calls
@@ -60,7 +62,7 @@ func RunAblation(seed int64) AblationResult {
 			if !nonEmpty {
 				continue
 			}
-			r, err := idtd.Infer(ws, &idtd.Options{Policy: policy})
+			r, err := idtd.FromSOA(context.TODO(), soa.Infer(ws), &idtd.Options{Policy: policy})
 			if err != nil {
 				continue
 			}

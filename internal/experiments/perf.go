@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"dtdinfer/internal/core"
 	"dtdinfer/internal/gfa"
 	"dtdinfer/internal/regex"
+	smp "dtdinfer/internal/sample"
 	"dtdinfer/internal/soa"
 	"dtdinfer/internal/stateelim"
 )
@@ -55,7 +57,7 @@ func RunPerf(seed int64) (PerfResult, error) {
 
 func timeAlgo(sample [][]string, algo core.Algorithm) (time.Duration, error) {
 	start := time.Now()
-	if _, err := core.InferExpr(sample, algo, nil); err != nil {
+	if _, err := core.InferSampleExpr(smp.FromStrings(sample), algo, nil); err != nil {
 		return 0, fmt.Errorf("experiments: %s failed: %w", algo, err)
 	}
 	return time.Since(start), nil
@@ -91,14 +93,17 @@ func RunConciseness() (ConcisenessResult, error) {
 	sample := [][]string{
 		split("bacacdacde"), split("cbacdbacde"), split("abccaadcde"),
 	}
+	ctx := context.TODO()
 	a := soa.Infer(sample)
-	big, err := stateelim.FromSOA(a)
+	big, err := stateelim.FromSOA(ctx, a)
 	if err != nil {
 		return ConcisenessResult{}, fmt.Errorf("experiments: state elimination failed: %w", err)
 	}
 	g := gfa.FromSOA(a)
 	g.EnableTrace()
-	g.Saturate()
+	if err := g.Saturate(ctx); err != nil {
+		return ConcisenessResult{}, err
+	}
 	small, err := g.Result()
 	if err != nil {
 		return ConcisenessResult{}, fmt.Errorf("experiments: rewrite failed: %w", err)

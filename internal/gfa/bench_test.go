@@ -17,7 +17,7 @@ func BenchmarkRewriteFigure1(b *testing.B) {
 	a := soa.Infer([][]string{split("bacacdacde"), split("cbacdbacde"), split("abccaadcde")})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Rewrite(a); err != nil {
+		if _, err := Rewrite(ctx, a); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func BenchmarkRewriteBySize(b *testing.B) {
 		a := soa.FromExpr(target)
 		b.Run(itoa(n)+"sym", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Rewrite(a); err != nil {
+				if _, err := Rewrite(ctx, a); err != nil {
 					b.Fatal(err)
 				}
 			}

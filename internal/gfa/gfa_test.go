@@ -1,6 +1,7 @@
 package gfa
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -11,6 +12,9 @@ import (
 	"dtdinfer/internal/regextest"
 	"dtdinfer/internal/soa"
 )
+
+// ctx is the background context the tests run the rewrite under.
+var ctx = context.Background()
 
 func split(w string) []string {
 	if w == "" {
@@ -35,7 +39,7 @@ func sample(ws ...string) [][]string {
 // ((b?(a+c))+d)+e (Figure 3).
 func TestRewriteFigure3(t *testing.T) {
 	a := soa.Infer(sample("bacacdacde", "cbacdbacde", "abccaadcde"))
-	r, err := Rewrite(a)
+	r, err := Rewrite(ctx, a)
 	if err != nil {
 		t.Fatalf("Rewrite: %v", err)
 	}
@@ -49,18 +53,18 @@ func TestRewriteFailsOnFigure2(t *testing.T) {
 	// Without the third sample string the SOA has no equivalent SORE;
 	// rewrite must report failure (iDTD's repair rules handle this case).
 	a := soa.Infer(sample("bacacdacde", "cbacdbacde"))
-	_, err := Rewrite(a)
+	_, err := Rewrite(ctx, a)
 	if !errors.Is(err, ErrNoSORE) {
 		t.Fatalf("Rewrite error = %v, want ErrNoSORE", err)
 	}
 }
 
 func TestRewriteEmpty(t *testing.T) {
-	if _, err := Rewrite(soa.New()); !errors.Is(err, ErrEmpty) {
+	if _, err := Rewrite(ctx, soa.New()); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("want ErrEmpty, got %v", err)
 	}
 	// A sample of only empty strings also has no symbols.
-	if _, err := Rewrite(soa.Infer([][]string{nil})); !errors.Is(err, ErrEmpty) {
+	if _, err := Rewrite(ctx, soa.Infer([][]string{nil})); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("want ErrEmpty, got %v", err)
 	}
 }
@@ -81,7 +85,7 @@ func TestRewriteSimpleShapes(t *testing.T) {
 		{[]string{"abc", "ac"}, "a b? c"},
 	}
 	for _, tc := range tests {
-		r, err := Rewrite(soa.Infer(sample(tc.sample...)))
+		r, err := Rewrite(ctx, soa.Infer(sample(tc.sample...)))
 		if err != nil {
 			t.Errorf("Rewrite(%v): %v", tc.sample, err)
 			continue
@@ -97,7 +101,7 @@ func TestRewriteTopLevelUnion(t *testing.T) {
 	// concatenation node (disjunction case i with a closure-only self edge).
 	target := regex.MustParse("a+ + (b? c+)")
 	a := soa.FromExpr(target)
-	r, err := Rewrite(a)
+	r, err := Rewrite(ctx, a)
 	if err != nil {
 		t.Fatalf("Rewrite: %v", err)
 	}
@@ -112,7 +116,7 @@ func TestRewriteTopLevelUnion(t *testing.T) {
 func TestRewriteStarNormalization(t *testing.T) {
 	// Strings witnessing zero-or-more occurrences produce a Kleene star in
 	// the post-processed output, never (r+)?.
-	r, err := Rewrite(soa.Infer(sample("ab", "aab", "b")))
+	r, err := Rewrite(ctx, soa.Infer(sample("ab", "aab", "b")))
 	if err != nil {
 		t.Fatalf("Rewrite: %v", err)
 	}
@@ -137,7 +141,7 @@ func TestRewriteSoundnessRandom(t *testing.T) {
 			ws = append(ws, w)
 		}
 		a := soa.Infer(ws)
-		r, err := Rewrite(a)
+		r, err := Rewrite(ctx, a)
 		if err != nil {
 			continue
 		}
@@ -166,7 +170,7 @@ func TestRewriteCompletenessOnRandomSOREs(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		target := regextest.RandomSORE(rng, alpha, 3)
 		a := soa.FromExpr(target)
-		r, err := Rewrite(a)
+		r, err := Rewrite(ctx, a)
 		if err != nil {
 			t.Fatalf("Rewrite failed on SOA of SORE %s: %v", target, err)
 		}
@@ -188,7 +192,7 @@ func TestRewriteLinearSize(t *testing.T) {
 	alpha := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	for i := 0; i < 100; i++ {
 		target := regextest.RandomSORE(rng, alpha, 4)
-		r, err := Rewrite(soa.FromExpr(target))
+		r, err := Rewrite(ctx, soa.FromExpr(target))
 		if err != nil {
 			t.Fatalf("Rewrite failed on %s: %v", target, err)
 		}
@@ -254,7 +258,9 @@ func TestCloneIndependence(t *testing.T) {
 	a := soa.Infer(sample("ab", "ba"))
 	g := FromSOA(a)
 	c := g.Clone()
-	c.Saturate()
+	if err := c.Saturate(ctx); err != nil {
+		t.Fatal(err)
+	}
 	if g.NumNodes() != 2 {
 		t.Error("saturating the clone mutated the original")
 	}
@@ -294,7 +300,9 @@ func TestRewriteTraceMatchesFigure3(t *testing.T) {
 	a := soa.Infer(sample("bacacdacde", "cbacdbacde", "abccaadcde"))
 	g := FromSOA(a)
 	g.EnableTrace()
-	g.Saturate()
+	if err := g.Saturate(ctx); err != nil {
+		t.Fatal(err)
+	}
 	r, err := g.Result()
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 
 	"dtdinfer/internal/budget"
 	"dtdinfer/internal/regex"
-	smp "dtdinfer/internal/sample"
 	"dtdinfer/internal/soa"
 )
 
@@ -23,33 +22,23 @@ var ErrEmpty = errors.New("gfa: automaton has no symbols")
 // Saturate applies rewrite rules until none is applicable, trying them in
 // the fixed order optional, self-loop, concatenation, disjunction (the
 // result does not depend on this order for automata equivalent to a SORE —
-// Claim 2 of the paper — but a fixed order makes runs reproducible). It
-// returns the number of rule applications.
-func (g *GFA) Saturate() int {
-	steps, _ := g.SaturateContext(context.Background())
-	return steps
-}
-
-// SaturateContext is Saturate with a cancellation checkpoint before every
-// rule application — the rewrite hot loop can run thousands of steps on
-// large automata, and each step is cheap enough that a per-step ctx.Err()
-// is lost in the noise. It returns the steps applied so far alongside any
-// context error.
-func (g *GFA) SaturateContext(ctx context.Context) (int, error) {
-	steps := 0
+// Claim 2 of the paper — but a fixed order makes runs reproducible). A
+// cancellation checkpoint precedes every rule application — the rewrite
+// hot loop can run thousands of steps on large automata, and each step is
+// cheap enough that a per-step ctx.Err() is lost in the noise.
+func (g *GFA) Saturate(ctx context.Context) error {
 	for {
 		if err := ctx.Err(); err != nil {
-			return steps, err
+			return err
 		}
 		switch {
-		case g.TryOptional():
-		case g.TrySelfLoop():
-		case g.TryConcat():
-		case g.TryDisjunction():
+		case g.tryOptional():
+		case g.trySelfLoop():
+		case g.tryConcat():
+		case g.tryDisjunction():
 		default:
-			return steps, nil
+			return nil
 		}
-		steps++
 	}
 }
 
@@ -57,14 +46,10 @@ func (g *GFA) SaturateContext(ctx context.Context) (int, error) {
 // automaton into an equivalent SORE (L(result) = L(A), including ε), or
 // fails with ErrNoSORE when no equivalent SORE exists. The result is
 // normalized to use the Kleene star for (r+)? forms, as the paper's
-// post-processing step prescribes.
-func Rewrite(a *soa.SOA) (*regex.Expr, error) {
-	return RewriteContext(context.Background(), a)
-}
-
-// RewriteContext is Rewrite under a context, honoring the state budget the
-// context carries and checking for cancellation inside the rewrite loop.
-func RewriteContext(ctx context.Context, a *soa.SOA) (*regex.Expr, error) {
+// post-processing step prescribes. Without repair rules this is the
+// "rewrite" engine of Figure 4. It honors the state budget the context
+// carries and checks for cancellation inside the rewrite loop.
+func Rewrite(ctx context.Context, a *soa.SOA) (*regex.Expr, error) {
 	if len(a.Symbols()) == 0 {
 		return nil, ErrEmpty
 	}
@@ -72,22 +57,10 @@ func RewriteContext(ctx context.Context, a *soa.SOA) (*regex.Expr, error) {
 		return nil, err
 	}
 	g := FromSOA(a)
-	if _, err := g.SaturateContext(ctx); err != nil {
+	if err := g.Saturate(ctx); err != nil {
 		return nil, err
 	}
 	return g.Result()
-}
-
-// InferSample runs rewrite (without repair rules) over the 2T-INF
-// automaton of a counted, interned sample — the repair-free half of iDTD,
-// used to reproduce Figure 4's "rewrite" curve.
-func InferSample(s *smp.Set) (*regex.Expr, error) {
-	return Rewrite(soa.InferSample(s))
-}
-
-// InferSampleContext is InferSample under a context.
-func InferSampleContext(ctx context.Context, s *smp.Set) (*regex.Expr, error) {
-	return RewriteContext(ctx, soa.InferSample(s))
 }
 
 // Result extracts the regular expression of a saturated GFA. Besides the

@@ -9,9 +9,9 @@ import (
 // once if possible (deterministically, scanning nodes in ascending id
 // order) and reports whether it fired.
 
-// TrySelfLoop applies the self-loop rule: delete an edge (r, r) and relabel
+// trySelfLoop applies the self-loop rule: delete an edge (r, r) and relabel
 // r by r+.
-func (g *GFA) TrySelfLoop() bool {
+func (g *GFA) trySelfLoop() bool {
 	for _, r := range g.Nodes() {
 		if g.HasEdge(r, r) {
 			old := g.labels[r]
@@ -24,14 +24,14 @@ func (g *GFA) TrySelfLoop() bool {
 	return false
 }
 
-// TryOptional applies the optional rule to the first eligible node r: every
+// tryOptional applies the optional rule to the first eligible node r: every
 // closure-predecessor r' of r satisfies Succ(r) ⊆ Succ(r'), i.e. everything
 // reachable through r from a predecessor is also reachable directly. The
 // node is relabeled r? and the bypass edges (r', r”) with r' ∈ Pred(r) and
 // r” ∈ Succ(r)\{r} are removed, since the ε-pass through r? now subsumes
 // them. Nodes with already-nullable labels are skipped: the rule would not
 // make progress.
-func (g *GFA) TryOptional() bool {
+func (g *GFA) tryOptional() bool {
 	cl := g.Closure()
 	for _, r := range g.Nodes() {
 		if nullableLabel(g.labels[r]) {
@@ -83,12 +83,12 @@ func hasOther(set intern.Bitset, self int) bool {
 	return false
 }
 
-// TryConcat applies the concatenation rule to a maximal chain r1,...,rn
+// tryConcat applies the concatenation rule to a maximal chain r1,...,rn
 // (n >= 2): consecutive edges ri → ri+1 where every node besides r1 has
 // exactly one incoming edge and every node besides rn has exactly one
 // outgoing edge. The chain is replaced by a single node labeled r1···rn;
 // an edge rn → r1 becomes a self edge of the new node.
-func (g *GFA) TryConcat() bool {
+func (g *GFA) tryConcat() bool {
 	// A link is an edge u→v between labeled nodes where u has out-degree 1
 	// and v has in-degree 1; chains are maximal link paths.
 	isLink := func(u, v int) bool {
@@ -172,7 +172,7 @@ func (g *GFA) mergeChain(chain []int, inChain map[int]bool) {
 	}
 }
 
-// TryDisjunction applies the disjunction rule to the first eligible pair of
+// tryDisjunction applies the disjunction rule to the first eligible pair of
 // nodes u, v: their closure predecessor and successor sets agree outside
 // {u, v}, and internally either there are no edges between them in G at all
 // (case i) or every ordered pair, including the self pairs, is an edge of
@@ -181,7 +181,7 @@ func (g *GFA) mergeChain(chain []int, inChain map[int]bool) {
 // pairwise application — the Union constructor flattens nested disjunctions
 // and Simplify absorbs member quantifiers, so the final expression matches
 // an n-ary merge.
-func (g *GFA) TryDisjunction() bool {
+func (g *GFA) tryDisjunction() bool {
 	cl := g.Closure()
 	nodes := g.Nodes()
 	for i, u := range nodes {

@@ -33,7 +33,7 @@ func buildGFA(t *testing.T, labels []string, edges [][2]int) (*GFA, []int) {
 
 func TestTrySelfLoopRule(t *testing.T) {
 	g, ids := buildGFA(t, []string{"a"}, [][2]int{{-1, 0}, {0, 0}, {0, -2}})
-	if !g.TrySelfLoop() {
+	if !g.trySelfLoop() {
 		t.Fatal("self-loop should fire")
 	}
 	if g.HasEdge(ids[0], ids[0]) {
@@ -42,7 +42,7 @@ func TestTrySelfLoopRule(t *testing.T) {
 	if got := g.Label(ids[0]).String(); got != "a+" {
 		t.Errorf("label = %q, want a+", got)
 	}
-	if g.TrySelfLoop() {
+	if g.trySelfLoop() {
 		t.Error("rule must not fire twice")
 	}
 }
@@ -51,7 +51,7 @@ func TestTryOptionalRule(t *testing.T) {
 	// a -> b -> c with bypass a -> c: b becomes optional, bypass removed.
 	g, ids := buildGFA(t, []string{"a", "b", "c"},
 		[][2]int{{-1, 0}, {0, 1}, {1, 2}, {0, 2}, {2, -2}})
-	if !g.TryOptional() {
+	if !g.tryOptional() {
 		t.Fatal("optional should fire on b")
 	}
 	if got := g.Label(ids[1]).String(); got != "b?" {
@@ -69,7 +69,7 @@ func TestTryOptionalRequiresAllPredecessorsCovered(t *testing.T) {
 	// d -> b without d -> c: optional on b must NOT fire.
 	g, _ := buildGFA(t, []string{"a", "b", "c", "d"},
 		[][2]int{{-1, 0}, {-1, 3}, {0, 1}, {3, 1}, {1, 2}, {0, 2}, {2, -2}})
-	if g.TryOptional() {
+	if g.tryOptional() {
 		t.Fatal("optional must not fire when a predecessor lacks the bypass")
 	}
 }
@@ -79,7 +79,7 @@ func TestTryOptionalSkipsNullableLabels(t *testing.T) {
 		[][2]int{{-1, 0}, {0, 1}, {1, 2}, {0, 2}, {2, -2}})
 	// b? is already nullable: no progress possible on it; a and c do not
 	// qualify either.
-	if g.TryOptional() {
+	if g.tryOptional() {
 		t.Fatal("optional must skip nullable labels")
 	}
 }
@@ -87,7 +87,7 @@ func TestTryOptionalSkipsNullableLabels(t *testing.T) {
 func TestTryConcatRule(t *testing.T) {
 	g, ids := buildGFA(t, []string{"a", "b", "c"},
 		[][2]int{{-1, 0}, {0, 1}, {1, 2}, {2, -2}})
-	if !g.TryConcat() {
+	if !g.tryConcat() {
 		t.Fatal("concat should fire")
 	}
 	if g.NumNodes() != 1 {
@@ -105,7 +105,7 @@ func TestTryConcatRespectsDegrees(t *testing.T) {
 	// b has two incoming edges: the chain a->b cannot merge.
 	g, _ := buildGFA(t, []string{"a", "b", "c"},
 		[][2]int{{-1, 0}, {-1, 2}, {0, 1}, {2, 1}, {1, -2}})
-	if g.TryConcat() {
+	if g.tryConcat() {
 		t.Fatal("concat must not fire when the target has in-degree 2")
 	}
 }
@@ -115,7 +115,7 @@ func TestTryConcatBackEdgeBecomesSelfLoop(t *testing.T) {
 	// self-loop).
 	g, _ := buildGFA(t, []string{"a", "b"},
 		[][2]int{{-1, 0}, {0, 1}, {1, 0}, {1, -2}})
-	if !g.TryConcat() {
+	if !g.tryConcat() {
 		t.Fatal("concat should fire")
 	}
 	var m int
@@ -125,7 +125,7 @@ func TestTryConcatBackEdgeBecomesSelfLoop(t *testing.T) {
 	if !g.HasEdge(m, m) {
 		t.Error("back edge must become a self edge")
 	}
-	if !g.TrySelfLoop() {
+	if !g.trySelfLoop() {
 		t.Fatal("self-loop should now fire")
 	}
 	if got := g.Label(m).String(); got != "(a b)+" {
@@ -137,7 +137,7 @@ func TestTryDisjunctionCaseI(t *testing.T) {
 	// a and b in parallel between src and sink: plain merge, no self edge.
 	g, _ := buildGFA(t, []string{"a", "b"},
 		[][2]int{{-1, 0}, {-1, 1}, {0, -2}, {1, -2}})
-	if !g.TryDisjunction() {
+	if !g.tryDisjunction() {
 		t.Fatal("disjunction should fire")
 	}
 	var m int
@@ -156,7 +156,7 @@ func TestTryDisjunctionCaseII(t *testing.T) {
 	// Fully interconnected a, b (incl. self loops): merge with self edge.
 	g, _ := buildGFA(t, []string{"a", "b"},
 		[][2]int{{-1, 0}, {-1, 1}, {0, 0}, {0, 1}, {1, 0}, {1, 1}, {0, -2}, {1, -2}})
-	if !g.TryDisjunction() {
+	if !g.tryDisjunction() {
 		t.Fatal("disjunction should fire")
 	}
 	var m int
@@ -172,7 +172,7 @@ func TestTryDisjunctionRejectsPartialInterconnection(t *testing.T) {
 	// a -> b but not b -> a and no self loops: neither case applies.
 	g, _ := buildGFA(t, []string{"a", "b"},
 		[][2]int{{-1, 0}, {-1, 1}, {0, 1}, {0, -2}, {1, -2}})
-	if g.TryDisjunction() {
+	if g.tryDisjunction() {
 		t.Fatal("partial interconnection must not merge")
 	}
 }
@@ -180,7 +180,7 @@ func TestTryDisjunctionRejectsPartialInterconnection(t *testing.T) {
 func TestTryDisjunctionRejectsDifferentContexts(t *testing.T) {
 	g, _ := buildGFA(t, []string{"a", "b", "c"},
 		[][2]int{{-1, 0}, {-1, 1}, {0, -2}, {1, 2}, {2, -2}})
-	if g.TryDisjunction() {
+	if g.tryDisjunction() {
 		t.Fatal("different successor sets must not merge")
 	}
 }
@@ -190,7 +190,7 @@ func TestDisjunctionWithClosureOnlySelfEdge(t *testing.T) {
 	// because no real internal edges exist; the + stays inside the union.
 	g, _ := buildGFA(t, []string{"a+", "c"},
 		[][2]int{{-1, 0}, {-1, 1}, {0, -2}, {1, -2}})
-	if !g.TryDisjunction() {
+	if !g.tryDisjunction() {
 		t.Fatal("disjunction should fire")
 	}
 	var m int

@@ -21,7 +21,6 @@ import (
 	"dtdinfer/internal/budget"
 	"dtdinfer/internal/gfa"
 	"dtdinfer/internal/regex"
-	smp "dtdinfer/internal/sample"
 	"dtdinfer/internal/soa"
 )
 
@@ -98,38 +97,16 @@ type Result struct {
 	Trace []string
 }
 
-// Infer runs 2T-INF on the sample and rewrites the automaton to a SORE,
-// repairing as needed. It fails only on an empty alphabet (no non-empty
-// strings in the sample).
-func Infer(sample [][]string, opts *Options) (*Result, error) {
-	return FromSOA(soa.Infer(sample), opts)
-}
-
-// InferSample is Infer on a counted, interned sample. Multiplicities flow
-// into the automaton's support counts, so the noise threshold of Options
-// sees exactly the occurrence statistics of the expanded strings.
-func InferSample(s *smp.Set, opts *Options) (*Result, error) {
-	return FromSOA(soa.InferSample(s), opts)
-}
-
-// InferSampleContext is InferSample under a context: the repair search
-// checks for cancellation between iterations, and the automaton is checked
-// against any state budget the context carries.
-func InferSampleContext(ctx context.Context, s *smp.Set, opts *Options) (*Result, error) {
-	return FromSOAContext(ctx, soa.InferSample(s), opts)
-}
-
-// FromSOA runs iDTD (Algorithm 2) on an already-inferred automaton.
-func FromSOA(a *soa.SOA, opts *Options) (*Result, error) {
-	return FromSOAContext(context.Background(), a, opts)
-}
-
-// FromSOAContext is FromSOA with cooperative cancellation and budget
-// checks: the automaton is rejected up front when it exceeds the context's
-// state budget, and every repair-search iteration (the algorithm's only
-// unbounded-feeling loop — each iteration is polynomial but the repair
-// escalation can run for many) is a cancellation checkpoint.
-func FromSOAContext(ctx context.Context, a *soa.SOA, opts *Options) (*Result, error) {
+// FromSOA runs iDTD (Algorithm 2) on a 2T-INF automaton, rewriting it to
+// a SORE and repairing as needed. Multiplicities the automaton absorbed
+// flow into its support counts, so the noise threshold of Options sees
+// exactly the occurrence statistics of the sample. It fails only on an
+// empty alphabet (no non-empty strings in the sample). The automaton is
+// rejected up front when it exceeds the context's state budget, and every
+// repair-search iteration (the algorithm's only unbounded-feeling loop —
+// each iteration is polynomial but the repair escalation can run for
+// many) is a cancellation checkpoint.
+func FromSOA(ctx context.Context, a *soa.SOA, opts *Options) (*Result, error) {
 	o := opts.withDefaults()
 	if len(a.Symbols()) == 0 {
 		return nil, gfa.ErrEmpty
@@ -156,7 +133,7 @@ func FromSOAContext(ctx context.Context, a *soa.SOA, opts *Options) (*Result, er
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if _, err := g.SaturateContext(ctx); err != nil {
+		if err := g.Saturate(ctx); err != nil {
 			return nil, err
 		}
 		if r, err := g.Result(); err == nil {

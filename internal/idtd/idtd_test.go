@@ -1,6 +1,7 @@
 package idtd
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,6 +12,14 @@ import (
 	"dtdinfer/internal/regextest"
 	"dtdinfer/internal/soa"
 )
+
+// ctx is the background context the tests run iDTD under.
+var ctx = context.Background()
+
+// infer runs iDTD over the 2T-INF automaton of a verbatim sample.
+func infer(ws [][]string, opts *Options) (*Result, error) {
+	return FromSOA(ctx, soa.Infer(ws), opts)
+}
 
 func split(w string) []string {
 	if w == "" {
@@ -37,10 +46,10 @@ func sample(ws ...string) [][]string {
 // ((b?(a+c))+d)+e.
 func TestIDTDRepairsFigure2(t *testing.T) {
 	ws := sample("bacacdacde", "cbacdbacde")
-	if _, err := gfa.Rewrite(soa.Infer(ws)); err == nil {
+	if _, err := gfa.Rewrite(ctx, soa.Infer(ws)); err == nil {
 		t.Fatal("precondition: rewrite alone must fail on Figure 2")
 	}
-	res, err := Infer(ws, nil)
+	res, err := infer(ws, nil)
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
@@ -58,7 +67,7 @@ func TestIDTDRepairsFigure2(t *testing.T) {
 
 func TestIDTDNoRepairOnRepresentativeSample(t *testing.T) {
 	ws := sample("bacacdacde", "cbacdbacde", "abccaadcde")
-	res, err := Infer(ws, nil)
+	res, err := infer(ws, nil)
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
@@ -85,7 +94,7 @@ func TestIDTDSupersetGuarantee(t *testing.T) {
 			ws = append(ws, w)
 		}
 		a := soa.Infer(ws)
-		res, err := FromSOA(a, nil)
+		res, err := FromSOA(ctx, a, nil)
 		if err != nil {
 			t.Fatalf("iDTD failed: %v", err)
 		}
@@ -118,7 +127,7 @@ func TestIDTDRecoversRepeatedDisjunctionFromSparseSample(t *testing.T) {
 			ws = append(ws, []string{x, y})
 		}
 	}
-	res, err := Infer(ws, nil)
+	res, err := infer(ws, nil)
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
@@ -129,16 +138,16 @@ func TestIDTDRecoversRepeatedDisjunctionFromSparseSample(t *testing.T) {
 }
 
 func TestIDTDEmptySampleError(t *testing.T) {
-	if _, err := Infer(nil, nil); err == nil {
+	if _, err := infer(nil, nil); err == nil {
 		t.Fatal("want error on empty sample")
 	}
-	if _, err := Infer([][]string{nil}, nil); err == nil {
+	if _, err := infer([][]string{nil}, nil); err == nil {
 		t.Fatal("want error on ε-only sample")
 	}
 }
 
 func TestIDTDEpsilonPreserved(t *testing.T) {
-	res, err := Infer([][]string{nil, {"a"}, {"a", "b"}}, nil)
+	res, err := infer([][]string{nil, {"a"}, {"a", "b"}}, nil)
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
@@ -156,7 +165,7 @@ func TestIDTDFallbackUniversal(t *testing.T) {
 	// Force the fallback with MaxRepairs and MaxK at minimum on a sample
 	// that needs repairs.
 	ws := sample("ab", "ba", "ca", "ac")
-	res, err := Infer(ws, &Options{K: 1, MaxK: 1, MaxRepairs: 1})
+	res, err := infer(ws, &Options{K: 1, MaxK: 1, MaxRepairs: 1})
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
@@ -179,7 +188,7 @@ func TestIDTDNoiseVariantIgnoresSupportsWhileRewriteAdvances(t *testing.T) {
 		ws = append(ws, split("abbc"), split("abc"))
 	}
 	ws = append(ws, split("axbc"))
-	res, err := Infer(ws, &Options{NoiseThreshold: 5})
+	res, err := infer(ws, &Options{NoiseThreshold: 5})
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
@@ -198,7 +207,7 @@ func TestIDTDNoiseVariantDropsWedgingEdges(t *testing.T) {
 		ws = append(ws, split("ab"))
 	}
 	ws = append(ws, split("ba"))
-	res, err := Infer(ws, &Options{NoiseThreshold: 5})
+	res, err := infer(ws, &Options{NoiseThreshold: 5})
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
@@ -216,7 +225,7 @@ func TestIDTDNoiseVariantDropsWedgingEdges(t *testing.T) {
 	}
 	// Without noise handling the same sample is repaired instead, keeping
 	// the spurious strings in the language.
-	plain, err := Infer(ws, nil)
+	plain, err := infer(ws, nil)
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
@@ -234,7 +243,7 @@ func TestNoiseHandlingByPruneSupport(t *testing.T) {
 	ws = append(ws, split("axbc"))
 	a := soa.Infer(ws)
 	a.PruneSupport(5, 5)
-	res, err := FromSOA(a, nil)
+	res, err := FromSOA(ctx, a, nil)
 	if err != nil {
 		t.Fatalf("FromSOA: %v", err)
 	}
@@ -251,7 +260,7 @@ func TestIDTDMatchesRewriteOnRepresentativeSOAs(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		target := regextest.RandomSORE(rng, alpha, 3)
 		a := soa.FromExpr(target)
-		res, err := FromSOA(a, nil)
+		res, err := FromSOA(ctx, a, nil)
 		if err != nil {
 			t.Fatalf("iDTD failed on SOA of %s: %v", target, err)
 		}
@@ -284,7 +293,7 @@ func TestIDTDOnSparseSamplesOfRandomSOREs(t *testing.T) {
 		if !nonEmpty {
 			continue // e.g. targets like (e*)? can sample only ε
 		}
-		res, err := Infer(ws, nil)
+		res, err := infer(ws, nil)
 		if err != nil {
 			t.Fatalf("Infer failed for %s: %v", target, err)
 		}
@@ -333,11 +342,11 @@ func TestRepairPolicyAblation(t *testing.T) {
 	results := map[Options]outcome{}
 	for _, policy := range []RepairPolicy{PolicyBalanced, PolicyDisjunctionFirst, PolicyOptionalFirst} {
 		opts := Options{Policy: policy}
-		r1, err := Infer(fig2, &opts)
+		r1, err := infer(fig2, &opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := Infer(ex4Sample, &opts)
+		r2, err := infer(ex4Sample, &opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +368,7 @@ func TestRepairPolicyAblation(t *testing.T) {
 
 func TestTraceOption(t *testing.T) {
 	ws := sample("bacacdacde", "cbacdbacde", "abccaadcde")
-	res, err := Infer(ws, &Options{Trace: true})
+	res, err := infer(ws, &Options{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +376,7 @@ func TestTraceOption(t *testing.T) {
 		t.Errorf("trace has %d steps, want 7 (Figure 3):\n%s",
 			len(res.Trace), strings.Join(res.Trace, "\n"))
 	}
-	plain, err := Infer(ws, nil)
+	plain, err := infer(ws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,9 @@ import (
 	"dtdinfer/internal/sample"
 )
 
-// Refine rewrites the repeatable factors of e whose operand is a single
-// symbol or a disjunction of symbols, using run statistics from the sample:
+// RefineSample rewrites the repeatable factors of e whose operand is a
+// single symbol or a disjunction of symbols, using run statistics from
+// the counted sample:
 //
 //   - x+ becomes x{m} when every maximal run of x-symbols in the sample has
 //     length exactly m >= 2, and x{m,} when the shortest run has length
@@ -20,31 +21,14 @@ import (
 //     as a single {m,n} bound.
 //
 // Other subexpressions are preserved. The result denotes a subset of L(e)
-// that still contains every sample string.
-func Refine(e *regex.Expr, sample [][]string) *regex.Expr {
-	return refine(e, func(class map[string]bool) (min, max int, seen bool) {
-		return runStats(class, sample)
-	})
-}
-
-// RefineSample is Refine on a counted, interned sample. The minimal and
-// maximal run lengths are scanned over each unique sequence once —
-// multiplicities cannot change a min or max, so the result is identical to
-// Refine on the expanded strings at a fraction of the scanning cost.
+// that still contains every sample string. The minimal and maximal run
+// lengths are scanned over each unique sequence once — multiplicities
+// cannot change a min or max, so the result is the one the expanded
+// strings give, at a fraction of the scanning cost.
 func RefineSample(e *regex.Expr, s *sample.Set) *regex.Expr {
-	return refine(e, func(class map[string]bool) (min, max int, seen bool) {
-		return runStatsSample(class, s)
-	})
-}
-
-// statsFunc reports the shortest and longest maximal run of class symbols
-// over the whole sample, and whether any run occurred.
-type statsFunc func(class map[string]bool) (min, max int, seen bool)
-
-func refine(e *regex.Expr, stats statsFunc) *regex.Expr {
 	if e.Op == regex.OpPlus {
 		if class, ok := symbolClass(e.Sub()); ok {
-			min, max, seen := stats(class)
+			min, max, seen := runStats(class, s)
 			switch {
 			case !seen || min < 2:
 				return e
@@ -60,8 +44,8 @@ func refine(e *regex.Expr, stats statsFunc) *regex.Expr {
 	}
 	c := &regex.Expr{Op: e.Op, Name: e.Name, Min: e.Min, Max: e.Max}
 	c.Subs = make([]*regex.Expr, len(e.Subs))
-	for i, s := range e.Subs {
-		c.Subs[i] = refine(s, stats)
+	for i, sub := range e.Subs {
+		c.Subs[i] = RefineSample(sub, s)
 	}
 	return c
 }
@@ -114,23 +98,11 @@ func (t *runTracker) flush() {
 	t.run = 0
 }
 
-// runStats scans the sample for maximal runs of symbols from the class and
-// returns the shortest and longest run lengths, plus whether any run was
-// seen at all.
-func runStats(class map[string]bool, sample [][]string) (min, max int, seen bool) {
-	var t runTracker
-	for _, w := range sample {
-		for _, s := range w {
-			t.step(class[s])
-		}
-		t.flush()
-	}
-	return t.min, t.max, t.seen
-}
-
-// runStatsSample scans each unique sequence of a counted sample once,
-// resolving the class to interned IDs up front.
-func runStatsSample(class map[string]bool, s *sample.Set) (min, max int, seen bool) {
+// runStats scans each unique sequence of a counted sample once for
+// maximal runs of symbols from the class, resolving the class to interned
+// IDs up front, and returns the shortest and longest run lengths, plus
+// whether any run was seen at all.
+func runStats(class map[string]bool, s *sample.Set) (min, max int, seen bool) {
 	inClass := make([]bool, s.NumSymbols())
 	for sym := range class {
 		if id, ok := s.Lookup(sym); ok {

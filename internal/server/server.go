@@ -48,9 +48,9 @@ type Config struct {
 	Algo core.Algorithm
 	// Opts are the engine options (budget, degradation, parallelism).
 	Opts core.Options
-	// Ingest caps the decoder per document (nil = DefaultIngestOptions'
-	// XML-bomb defenses as configured by the caller; nil means uncapped
-	// here, matching the library default).
+	// Ingest caps the decoder per document, for ingestion and validation
+	// alike. nil applies no caps; dtdserved passes
+	// dtd.DefaultIngestOptions unless its -max-* flags say otherwise.
 	Ingest *dtd.IngestOptions
 	// DataDir is where tenant summaries live, one <tenant>.corpus file
 	// each. Empty disables persistence and recovery.

@@ -13,26 +13,11 @@ import (
 
 	"dtdinfer/internal/budget"
 	"dtdinfer/internal/regex"
-	"dtdinfer/internal/sample"
 	"dtdinfer/internal/soa"
 )
 
 // ErrEmptyLanguage is returned when the automaton accepts no string.
 var ErrEmptyLanguage = errors.New("stateelim: automaton accepts no strings")
-
-// InferSample runs state elimination over the 2T-INF automaton of a
-// counted, interned sample.
-func InferSample(s *sample.Set) (*regex.Expr, error) {
-	return FromSOA(soa.InferSample(s))
-}
-
-// InferSampleContext is InferSample under a context. State elimination is
-// the engine most prone to blow-up (its output can be exponential in the
-// automaton), so the context's state budget and a per-eliminated-state
-// cancellation checkpoint matter most here.
-func InferSampleContext(ctx context.Context, s *sample.Set) (*regex.Expr, error) {
-	return FromSOAContext(ctx, soa.InferSample(s))
-}
 
 // label is a GNFA edge label: a regular language given by an optional
 // expression plus an optional ε. A nil entry in the edge map means the
@@ -89,15 +74,12 @@ func starLabel(a label) label {
 // FromSOA runs state elimination on a single occurrence automaton,
 // eliminating states in lexicographic symbol order. The output is not
 // simplified beyond trivial flattening — the point of the baseline is the
-// raw size of the expression the textbook algorithm produces.
-func FromSOA(a *soa.SOA) (*regex.Expr, error) {
-	return FromSOAContext(context.Background(), a)
-}
-
-// FromSOAContext is FromSOA with cooperative cancellation (one checkpoint
-// per eliminated state, each of which can square the label sizes) and the
-// context's state budget checked up front.
-func FromSOAContext(ctx context.Context, a *soa.SOA) (*regex.Expr, error) {
+// raw size of the expression the textbook algorithm produces. State
+// elimination is the engine most prone to blow-up (its output can be
+// exponential in the automaton), so the context's state budget is checked
+// up front and every eliminated state, each of which can square the label
+// sizes, is a cancellation checkpoint.
+func FromSOA(ctx context.Context, a *soa.SOA) (*regex.Expr, error) {
 	syms := a.Symbols()
 	if err := budget.CheckStates(ctx, len(syms)); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package stateelim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -10,6 +11,9 @@ import (
 	"dtdinfer/internal/regextest"
 	"dtdinfer/internal/soa"
 )
+
+// ctx is the background context the tests run the engines under.
+var ctx = context.Background()
 
 func split(w string) []string {
 	out := make([]string, len(w))
@@ -25,11 +29,11 @@ func split(w string) []string {
 func TestStateEliminationBlowUpVsRewrite(t *testing.T) {
 	ws := [][]string{split("bacacdacde"), split("cbacdbacde"), split("abccaadcde")}
 	a := soa.Infer(ws)
-	big, err := FromSOA(a)
+	big, err := FromSOA(ctx, a)
 	if err != nil {
 		t.Fatalf("FromSOA: %v", err)
 	}
-	small, err := gfa.Rewrite(a)
+	small, err := gfa.Rewrite(ctx, a)
 	if err != nil {
 		t.Fatalf("Rewrite: %v", err)
 	}
@@ -58,7 +62,7 @@ func TestStateEliminationSoundness(t *testing.T) {
 			ws = append(ws, w)
 		}
 		a := soa.Infer(ws)
-		e, err := FromSOA(a)
+		e, err := FromSOA(ctx, a)
 		if err != nil {
 			t.Fatalf("FromSOA(%v): %v", ws, err)
 		}
@@ -70,7 +74,7 @@ func TestStateEliminationSoundness(t *testing.T) {
 
 func TestStateEliminationEpsilon(t *testing.T) {
 	a := soa.Infer([][]string{nil, {"a"}})
-	e, err := FromSOA(a)
+	e, err := FromSOA(ctx, a)
 	if err != nil {
 		t.Fatalf("FromSOA: %v", err)
 	}
@@ -83,7 +87,7 @@ func TestStateEliminationEpsilon(t *testing.T) {
 }
 
 func TestStateEliminationEmptyLanguage(t *testing.T) {
-	if _, err := FromSOA(soa.New()); err == nil {
+	if _, err := FromSOA(ctx, soa.New()); err == nil {
 		t.Fatal("want error on empty automaton")
 	}
 }
@@ -94,7 +98,7 @@ func TestStateEliminationOnSOREAutomata(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		target := regextest.RandomSORE(rng, alpha, 3)
 		a := soa.FromExpr(target)
-		e, err := FromSOA(a)
+		e, err := FromSOA(ctx, a)
 		if err != nil {
 			continue // {ε}-only languages are not expressible
 		}

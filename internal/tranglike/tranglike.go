@@ -18,7 +18,6 @@ import (
 	"dtdinfer/internal/budget"
 	"dtdinfer/internal/gfa"
 	"dtdinfer/internal/regex"
-	smp "dtdinfer/internal/sample"
 	"dtdinfer/internal/soa"
 )
 
@@ -27,35 +26,12 @@ import (
 // corrupted or adversarial automaton. Callers degrade instead of crashing.
 var ErrCycle = errors.New("tranglike: cycle in contracted DAG")
 
-// Infer runs the Trang-like pipeline on a sample.
-func Infer(sample [][]string) (*regex.Expr, error) {
-	return FromSOA(soa.Infer(sample))
-}
-
-// InferSample is Infer on a counted, interned sample: the automaton is
-// built from each unique sequence once.
-func InferSample(s *smp.Set) (*regex.Expr, error) {
-	return FromSOA(soa.InferSample(s))
-}
-
-// InferSampleContext is InferSample under a context, honoring the state
-// budget the context carries and checking for cancellation during
-// serialization.
-func InferSampleContext(ctx context.Context, s *smp.Set) (*regex.Expr, error) {
-	return FromSOAContext(ctx, soa.InferSample(s))
-}
-
-// FromSOA converts an inferred automaton into a regular expression:
-// SCC contraction, merging of equal-context nodes into disjunctions,
-// branch decomposition at the source, and topological serialization with
-// ? marks on skippable nodes.
-func FromSOA(a *soa.SOA) (*regex.Expr, error) {
-	return FromSOAContext(context.Background(), a)
-}
-
-// FromSOAContext is FromSOA with cooperative cancellation and budget
-// checks.
-func FromSOAContext(ctx context.Context, a *soa.SOA) (*regex.Expr, error) {
+// FromSOA converts a 2T-INF automaton into a regular expression: SCC
+// contraction, merging of equal-context nodes into disjunctions, branch
+// decomposition at the source, and topological serialization with ? marks
+// on skippable nodes. It honors the state budget the context carries and
+// checks for cancellation during serialization.
+func FromSOA(ctx context.Context, a *soa.SOA) (*regex.Expr, error) {
 	syms := a.Symbols()
 	if len(syms) == 0 {
 		return nil, gfa.ErrEmpty

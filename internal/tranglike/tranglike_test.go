@@ -1,6 +1,7 @@
 package tranglike
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,7 +10,25 @@ import (
 	"dtdinfer/internal/datagen"
 	"dtdinfer/internal/regex"
 	"dtdinfer/internal/regextest"
+	smp "dtdinfer/internal/sample"
+	"dtdinfer/internal/soa"
 )
+
+// ctx is the background context the tests run the engines under.
+var ctx = context.Background()
+
+// inferWords runs the Trang-like pipeline over the 2T-INF automaton of a
+// verbatim sample.
+func inferWords(ws [][]string) (*regex.Expr, error) {
+	return FromSOA(ctx, soa.Infer(ws))
+}
+
+// crxWords runs CRX over the counted summary of a verbatim sample.
+func crxWords(ws [][]string) (*crx.Result, error) {
+	st := crx.NewState()
+	st.AddSample(smp.FromStrings(ws))
+	return st.Infer(ctx)
+}
 
 func split(w string) []string {
 	if w == "" {
@@ -35,14 +54,14 @@ func sample(ws ...string) [][]string {
 func TestTrangTopLevelDisjunctionOnExample1(t *testing.T) {
 	target := regex.MustParse("a1+ + (a2? a3+)")
 	ws := datagen.EdgeCoverSample(target)
-	got, err := Infer(ws)
+	got, err := inferWords(ws)
 	if err != nil {
 		t.Fatalf("Infer: %v", err)
 	}
 	if !automata.ExprEquivalent(got, target) {
 		t.Errorf("Trang-like = %s, want ≡ %s", got, target)
 	}
-	cr, err := crx.Infer(ws)
+	cr, err := crxWords(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +80,11 @@ func TestTrangMatchesCRXOnCHAREs(t *testing.T) {
 	for i := 0; i < runs; i++ {
 		target := regex.Simplify(regextest.RandomCHARE(rng, alpha))
 		ws := datagen.EdgeCoverSample(target)
-		tr, err := Infer(ws)
+		tr, err := inferWords(ws)
 		if err != nil {
 			t.Fatalf("Infer failed for %s: %v", target, err)
 		}
-		cr, err := crx.Infer(ws)
+		cr, err := crxWords(ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +121,7 @@ func TestTrangContainmentProperty(t *testing.T) {
 		if !nonEmpty {
 			continue
 		}
-		got, err := Infer(ws)
+		got, err := inferWords(ws)
 		if err != nil {
 			t.Fatalf("Infer(%v): %v", ws, err)
 		}
@@ -116,7 +135,7 @@ func TestTrangContainmentProperty(t *testing.T) {
 
 func TestTrangSCCContraction(t *testing.T) {
 	// A cycle a<->b collapses into (a+b)+.
-	got, err := Infer(sample("ab", "ba", "abab"))
+	got, err := inferWords(sample("ab", "ba", "abab"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,13 +145,13 @@ func TestTrangSCCContraction(t *testing.T) {
 }
 
 func TestTrangEmptyError(t *testing.T) {
-	if _, err := Infer(nil); err == nil {
+	if _, err := inferWords(nil); err == nil {
 		t.Fatal("want error")
 	}
 }
 
 func TestTrangEpsilon(t *testing.T) {
-	got, err := Infer([][]string{nil, {"a"}})
+	got, err := inferWords([][]string{nil, {"a"}})
 	if err != nil {
 		t.Fatal(err)
 	}

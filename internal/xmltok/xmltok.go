@@ -567,10 +567,10 @@ func (t *Tokenizer) procInst() (Kind, error) {
 	if string(t.nameBuf) == "xml" {
 		content := string(data)
 		if ver := procInstParam("version", content); ver != "" && ver != "1.0" {
-			return EOF, fmt.Errorf("xmltok: unsupported version %q; only version 1.0 is supported", ver)
+			return EOF, fmt.Errorf("unsupported version %q; only version 1.0 is supported", ver)
 		}
 		if enc := procInstParam("encoding", content); enc != "" && !strings.EqualFold(enc, "utf-8") {
-			return EOF, fmt.Errorf("xmltok: encoding %q declared but only utf-8 is supported", enc)
+			return EOF, fmt.Errorf("encoding %q declared but only utf-8 is supported", enc)
 		}
 	}
 	return ProcInst, nil

@@ -57,24 +57,14 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// Infer runs the XTRACT pipeline and returns the inferred expression.
-func Infer(sample [][]string, opts *Options) (*regex.Expr, error) {
-	return inferDistinct(context.Background(), dedup(sample), opts)
-}
-
-// InferSample is Infer on a counted, interned sample. XTRACT operates on
-// distinct strings only (multiplicities never enter its MDL objective), so
-// the counted representation hands it exactly the deduplication it
-// otherwise performs itself, and the result is identical to Infer on the
-// expanded strings.
-func InferSample(s *smp.Set, opts *Options) (*regex.Expr, error) {
-	return InferSampleContext(context.Background(), s, opts)
-}
-
-// InferSampleContext is InferSample under a context: the MDL candidate
-// enumeration — the system's known blow-up, quadratic in candidates times
-// strings — checks for cancellation per candidate and per greedy round.
-func InferSampleContext(ctx context.Context, s *smp.Set, opts *Options) (*regex.Expr, error) {
+// Infer runs the XTRACT pipeline on a counted sample and returns the
+// inferred expression. XTRACT operates on distinct strings only
+// (multiplicities never enter its MDL objective), so the counted
+// representation hands it exactly the deduplication it needs. The MDL
+// candidate enumeration — the system's known blow-up, quadratic in
+// candidates times strings — checks for cancellation per candidate and per
+// greedy round.
+func Infer(ctx context.Context, s *smp.Set, opts *Options) (*regex.Expr, error) {
 	distinct := s.UniqueStrings()
 	sort.Slice(distinct, func(i, j int) bool { return key(distinct[i]) < key(distinct[j]) })
 	return inferDistinct(ctx, distinct, opts)
@@ -111,20 +101,6 @@ func inferDistinct(ctx context.Context, distinct [][]string, opts *Options) (*re
 		e = regex.Opt(e)
 	}
 	return e, nil
-}
-
-func dedup(sample [][]string) [][]string {
-	seen := map[string]bool{}
-	var out [][]string
-	for _, w := range sample {
-		k := key(w)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, w)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return key(out[i]) < key(out[j]) })
-	return out
 }
 
 func key(w []string) string {

@@ -1,15 +1,98 @@
 package xtract
 
 import (
+	"context"
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"dtdinfer/internal/automata"
 	"dtdinfer/internal/crx"
 	"dtdinfer/internal/datagen"
 	"dtdinfer/internal/regex"
+	smp "dtdinfer/internal/sample"
 )
+
+// ctx is the background context the tests run the engines under.
+var ctx = context.Background()
+
+// inferWords runs XTRACT on the counted sample of a verbatim sample, the
+// path every production caller takes.
+func inferWords(ws [][]string, opts *Options) (*regex.Expr, error) {
+	return Infer(ctx, smp.FromStrings(ws), opts)
+}
+
+// crxWords runs CRX over the counted summary of a verbatim sample.
+func crxWords(ws [][]string) (*crx.Result, error) {
+	st := crx.NewState()
+	st.AddSample(smp.FromStrings(ws))
+	return st.Infer(ctx)
+}
+
+// dedup is the verbatim reference for the counted sample's distinct
+// strings: first occurrences, sorted by key.
+func dedup(sample [][]string) [][]string {
+	seen := map[string]bool{}
+	var out [][]string
+	for _, w := range sample {
+		k := key(w)
+		if !seen[k] {
+			seen[k] = true
+			out = append(out, w)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return key(out[i]) < key(out[j]) })
+	return out
+}
+
+// TestInferMatchesDedupReference holds the counted entry point to the
+// verbatim pipeline it replaced: deduplicating the expanded strings
+// itself and running the same MDL pipeline must give the same expression
+// (or the same failure) on dedup-heavy, empty-containing and random
+// samples.
+func TestInferMatchesDedupReference(t *testing.T) {
+	samples := [][][]string{
+		sample("ab", "abb", "aab", "b"),
+		sample("ab", "ab", "ab", "abb", "abb", "b", ""),
+		sample("bacacdacde", "cbacdbacde", "abccaadcde"),
+		sample("aabb", "aabb", "aabbb"),
+		{{"x"}, {"x"}, {"x"}, nil},
+		{nil},
+		nil,
+	}
+	rng := rand.New(rand.NewSource(53))
+	alpha := []string{"a", "b", "c", "d"}
+	for i := 0; i < 60; i++ {
+		var ws [][]string
+		for j := 0; j < 1+rng.Intn(10); j++ {
+			w := make([]string, rng.Intn(6))
+			for k := range w {
+				w[k] = alpha[rng.Intn(len(alpha))]
+			}
+			ws = append(ws, w, w)
+		}
+		samples = append(samples, ws)
+	}
+	for i, ws := range samples {
+		for _, opts := range []*Options{nil, {MaxStrings: 3}} {
+			want, errRef := inferDistinct(ctx, dedup(ws), opts)
+			got, errGot := inferWords(ws, opts)
+			if (errRef == nil) != (errGot == nil) {
+				t.Fatalf("sample %d %v: verbatim err=%v, counted err=%v", i, ws, errRef, errGot)
+			}
+			if errRef != nil {
+				if errRef.Error() != errGot.Error() {
+					t.Fatalf("sample %d: verbatim err %q, counted err %q", i, errRef, errGot)
+				}
+				continue
+			}
+			if want.String() != got.String() {
+				t.Fatalf("sample %d %v: verbatim %s, counted %s", i, ws, want, got)
+			}
+		}
+	}
+}
 
 func split(w string) []string {
 	if w == "" {
@@ -48,7 +131,7 @@ func TestXtractCoversSample(t *testing.T) {
 		if !nonEmpty {
 			continue
 		}
-		e, err := Infer(ws, nil)
+		e, err := inferWords(ws, nil)
 		if err != nil {
 			t.Fatalf("Infer(%v): %v", ws, err)
 		}
@@ -62,7 +145,7 @@ func TestXtractCoversSample(t *testing.T) {
 
 func TestXtractRunGeneralization(t *testing.T) {
 	// aaab generalizes the run of a's.
-	e, err := Infer(sample("aaab", "ab", "aab"), nil)
+	e, err := inferWords(sample("aaab", "ab", "aab"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +156,7 @@ func TestXtractRunGeneralization(t *testing.T) {
 
 func TestXtractBlockRepetition(t *testing.T) {
 	// (ab)(ab)(ab) generalizes to (a b)+ somewhere in the candidate set.
-	e, err := Infer(sample("ababab", "ab"), nil)
+	e, err := inferWords(sample("ababab", "ab"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,15 +173,15 @@ func TestXtractGrowsWithSampleWhereCRXStaysConcise(t *testing.T) {
 	s := datagen.NewSampler(52)
 	small := datagen.RepresentativeSample(s, target, 30)
 	large := datagen.RepresentativeSample(s, target, 300)
-	eSmall, err := Infer(small, nil)
+	eSmall, err := inferWords(small, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eLarge, err := Infer(large, nil)
+	eLarge, err := inferWords(large, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := crx.Infer(large)
+	cr, err := crxWords(large)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +204,7 @@ func TestXtractMaxStrings(t *testing.T) {
 			ws = append(ws, []string{"a", string(rune('b' + i%20)), string(rune('b' + j%20))})
 		}
 	}
-	_, err := Infer(ws, &Options{MaxStrings: 100})
+	_, err := inferWords(ws, &Options{MaxStrings: 100})
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("want ErrTooLarge, got %v", err)
 	}
@@ -129,7 +212,7 @@ func TestXtractMaxStrings(t *testing.T) {
 
 func TestXtractExactOnCleanPattern(t *testing.T) {
 	// On small clean repetitive data, xtract can find a compact pattern.
-	e, err := Infer(sample("ab", "aab", "aaab"), nil)
+	e, err := inferWords(sample("ab", "aab", "aaab"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +224,10 @@ func TestXtractExactOnCleanPattern(t *testing.T) {
 }
 
 func TestXtractEmptyHandling(t *testing.T) {
-	if _, err := Infer(nil, nil); err == nil {
+	if _, err := inferWords(nil, nil); err == nil {
 		t.Fatal("want error on empty sample")
 	}
-	e, err := Infer([][]string{nil, {"a"}}, nil)
+	e, err := inferWords([][]string{nil, {"a"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

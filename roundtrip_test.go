@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dtdinfer/internal/automata"
+	"dtdinfer/internal/core"
 	"dtdinfer/internal/datagen"
 	"dtdinfer/internal/dtd"
 	"dtdinfer/internal/regex"
@@ -76,7 +77,7 @@ func TestEndToEndRoundTripProperty(t *testing.T) {
 
 		// With iDTD on a representative corpus, each inferred content
 		// model is a superset of (often equal to) the original's language.
-		x := NewExtraction()
+		x := dtd.NewExtraction()
 		for _, doc := range docStrs {
 			if err := x.AddDocument(strings.NewReader(doc)); err != nil {
 				t.Fatal(err)
@@ -89,7 +90,7 @@ func TestEndToEndRoundTripProperty(t *testing.T) {
 				x.AddSequences(name, datagen.EdgeCoverSample(e.Model))
 			}
 		}
-		inferred, err := InferDTDFromExtraction(x, IDTD, nil)
+		inferred, err := core.InferDTDFromExtraction(x, IDTD, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

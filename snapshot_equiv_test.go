@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dtdinfer/internal/core"
 	"dtdinfer/internal/corpus"
 	"dtdinfer/internal/dtd"
 )
@@ -22,23 +23,23 @@ func equivCorpus() []string {
 	return append(docs, corpus.Mondial(4, 30)...)
 }
 
-func ingestEquiv(t *testing.T, docs []string, workers int) *Extraction {
+func ingestEquiv(t *testing.T, docs []string, workers int) *dtd.Extraction {
 	t.Helper()
 	readers := make([]io.Reader, len(docs))
 	for i, d := range docs {
 		readers[i] = strings.NewReader(d)
 	}
-	x := NewExtraction()
+	x := dtd.NewExtraction()
 	if _, err := x.AddDocsParallelContext(context.Background(), dtd.LabelDocs(readers), workers, nil, dtd.FailFast); err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	return x
 }
 
-func corpusBytes(t *testing.T, x *Extraction) []byte {
+func corpusBytes(t *testing.T, x *dtd.Extraction) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteCorpus(x, &buf); err != nil {
+	if err := core.WriteCorpus(x, &buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -50,7 +51,7 @@ func TestSnapshotSaveLoadInferEquivalence(t *testing.T) {
 	// Bytes first: inference itself warms the summary (model cache,
 	// cleared dirty set), which is persisted state too.
 	wantBytes := corpusBytes(t, direct)
-	want, err := InferDTDFromExtraction(direct, IDTD, nil)
+	want, err := core.InferDTDFromExtraction(direct, IDTD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +61,11 @@ func TestSnapshotSaveLoadInferEquivalence(t *testing.T) {
 		if !bytes.Equal(data, wantBytes) {
 			t.Errorf("workers=%d: summary bytes differ from the sequential summary", workers)
 		}
-		loaded, err := ReadCorpus(bytes.NewReader(data))
+		loaded, err := core.ReadCorpus(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		got, err := InferDTDFromExtraction(loaded, IDTD, nil)
+		got, err := core.InferDTDFromExtraction(loaded, IDTD, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -79,7 +80,7 @@ func TestSnapshotShardMergeEquivalence(t *testing.T) {
 	docs := equivCorpus()
 	direct := ingestEquiv(t, docs, 1)
 	wantBytes := corpusBytes(t, direct) // before inference warms the summary
-	want, err := InferDTDFromExtraction(direct, IDTD, nil)
+	want, err := core.InferDTDFromExtraction(direct, IDTD, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +95,10 @@ func TestSnapshotShardMergeEquivalence(t *testing.T) {
 		for i, d := range docs {
 			shardDocs[i/per] = append(shardDocs[i/per], d)
 		}
-		var merged *Extraction
+		var merged *dtd.Extraction
 		for i, sd := range shardDocs {
 			shard := ingestEquiv(t, sd, 4)
-			loaded, err := ReadCorpus(bytes.NewReader(corpusBytes(t, shard)))
+			loaded, err := core.ReadCorpus(bytes.NewReader(corpusBytes(t, shard)))
 			if err != nil {
 				t.Fatalf("k=%d shard=%d: %v", k, i, err)
 			}
@@ -110,7 +111,7 @@ func TestSnapshotShardMergeEquivalence(t *testing.T) {
 		if got := corpusBytes(t, merged); !bytes.Equal(got, wantBytes) {
 			t.Errorf("k=%d: merged summary bytes differ from single-corpus summary", k)
 		}
-		got, err := InferDTDFromExtraction(merged, IDTD, nil)
+		got, err := core.InferDTDFromExtraction(merged, IDTD, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,17 +125,17 @@ func TestSaveLoadCorpusFiles(t *testing.T) {
 	docs := equivCorpus()[:10]
 	x := ingestEquiv(t, docs, 1)
 	path := t.TempDir() + "/c.corpus"
-	if err := SaveCorpus(x, path); err != nil {
+	if err := core.SaveCorpus(x, path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCorpus(path)
+	loaded, err := core.LoadCorpus(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := corpusBytes(t, loaded), corpusBytes(t, x); !bytes.Equal(got, want) {
 		t.Error("file round trip is not byte-identical")
 	}
-	if _, err := LoadCorpus(path + ".missing"); err == nil {
+	if _, err := core.LoadCorpus(path + ".missing"); err == nil {
 		t.Error("missing file loaded cleanly")
 	}
 }
